@@ -346,3 +346,75 @@ func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
 	}
 	return a, nil
 }
+
+// setHealth moves an instance to a new health state. It opens and
+// closes the degraded spans that split SLO attainment by fault epoch,
+// and rebuilds the routing candidate lists the move can change. Every
+// health transition goes through here.
+func (e *Engine) setHealth(prefill bool, inst int, to healthState) {
+	h := &e.decodes[inst].health
+	if prefill {
+		h = &e.prefills[inst].health
+	}
+	wasUp, isUp := *h == healthUp, to == healthUp
+	*h = to
+	e.rebuildCandidates()
+	switch {
+	case wasUp == isUp:
+	case isUp:
+		e.downCount--
+		if e.downCount == 0 {
+			e.spans = append(e.spans, faultSpan{start: e.degradedSince, end: e.now})
+		}
+	default:
+		if e.downCount == 0 {
+			e.degradedSince = e.now
+		}
+		e.downCount++
+	}
+}
+
+// evacuate takes a decode (or colocated) instance out of service into
+// health state to (down or quarantined) and records the incident. The
+// active batch, in-flight reloads, the landing queue and any
+// stall-the-world prefill are orphaned, the KV pool is freed wholesale,
+// and the epoch bump invalidates the instance's in-flight
+// evStepDone/evPrefillDone/evReloadDone events.
+func (e *Engine) evacuate(inst int, inc Incident, to healthState) {
+	d := &e.decodes[inst]
+	for _, req := range d.active {
+		inc.Orphaned++
+		inc.KVTokensLost += req.ctx
+		e.orphan(req)
+	}
+	e.setActive(d, d.active[:0])
+	for _, req := range d.reloads {
+		// In-flight reloads hold pages on the lost pool and count as
+		// KV-resident context lost.
+		inc.Orphaned++
+		inc.KVTokensLost += req.ctx
+		e.orphan(req)
+	}
+	clearPtrs(d.reloads)
+	d.reloads = d.reloads[:0]
+	for d.pending.len() > 0 {
+		// Landed requests hold no pages yet; they are affected but add
+		// no KV loss.
+		inc.Orphaned++
+		e.orphan(d.pending.pop())
+	}
+	d.pending.reset()
+	if d.prefilling && d.prefillReq != nil {
+		inc.Orphaned++
+		inc.KVTokensLost += d.prefillReq.ctxForPrefill()
+		e.orphan(d.prefillReq)
+	}
+	d.prefillReq = nil
+	d.prefilling = false
+	d.stepping = false
+	d.kv.releaseAll()
+	d.epoch++
+	e.setHealth(false, inst, to)
+	e.kvLost += inc.KVTokensLost
+	e.incidents = append(e.incidents, inc)
+}

@@ -218,12 +218,6 @@ func (h HedgePolicy) Validate() error {
 	return nil
 }
 
-// hazardous reports whether any cross-layer hazard machinery is active
-// — the sharded coordinator falls back to the serial loop when it is.
-func (r *ResilienceConfig) hazardous() bool {
-	return r.Hazards != nil || r.Hedge.enabled()
-}
-
 // Hedge race states (reqState.hstate).
 const (
 	hzNone int8 = iota
@@ -389,7 +383,7 @@ func (e *Engine) commScaleP(inst int) float64 {
 }
 
 // scheduleHazards seeds the hazard RNG stream and schedules the plane
-// script. Serial path only — hazardous configs never shard.
+// script.
 func (e *Engine) scheduleHazards() {
 	plan := e.cfg.Resilience.Hazards
 	if plan == nil {
@@ -415,15 +409,12 @@ func (e *Engine) applyHazard(i int) {
 		if ev.Heal {
 			if p.health == healthDegraded {
 				e.trIncident(true, ev.Instance, "heal")
-				e.noteHealth(healthDegraded, healthUp)
-				p.health = healthUp
+				e.setHealth(true, ev.Instance, healthUp)
 			}
 		} else if p.health == healthUp {
 			e.trIncident(true, ev.Instance, "degrade")
-			e.noteHealth(healthUp, healthDegraded)
-			p.health = healthDegraded
+			e.setHealth(true, ev.Instance, healthDegraded)
 		}
-		e.recountIdlePrefills()
 		return
 	}
 	d := &e.decodes[ev.Instance]
@@ -432,14 +423,12 @@ func (e *Engine) applyHazard(i int) {
 		switch {
 		case d.health == healthDegraded:
 			e.trIncident(false, ev.Instance, "heal")
-			e.noteHealth(healthDegraded, healthUp)
-			d.health = healthUp
+			e.setHealth(false, ev.Instance, healthUp)
 		case hz.grayDrained[ev.Instance] && d.health == healthDraining:
 			// The detector drained this straggler; with the plane healed
 			// the cause is gone — return it to service.
 			e.trIncident(false, ev.Instance, "heal")
-			e.noteHealth(healthDraining, healthUp)
-			d.health = healthUp
+			e.setHealth(false, ev.Instance, healthUp)
 		}
 		hz.grayDrained[ev.Instance] = false
 		hz.ewma[ev.Instance] = 0
@@ -449,8 +438,7 @@ func (e *Engine) applyHazard(i int) {
 		}
 	} else if d.health == healthUp {
 		e.trIncident(false, ev.Instance, "degrade")
-		e.noteHealth(healthUp, healthDegraded)
-		d.health = healthDegraded
+		e.setHealth(false, ev.Instance, healthDegraded)
 	}
 }
 
@@ -493,42 +481,8 @@ func (e *Engine) sdcStep() (corrupt, detected bool) {
 // repair. Structurally a crash with a different health terminal and an
 // "sdc" incident kind.
 func (e *Engine) quarantine(inst int) {
-	d := &e.decodes[inst]
 	e.trIncident(false, inst, "quarantine")
-	inc := Incident{At: e.now, Instance: inst, Kind: "sdc"}
-	for _, req := range d.active {
-		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
-		e.orphan(req)
-	}
-	clearPtrs(d.active)
-	d.active = d.active[:0]
-	for _, req := range d.reloads {
-		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
-		e.orphan(req)
-	}
-	clearPtrs(d.reloads)
-	d.reloads = d.reloads[:0]
-	for d.pending.len() > 0 {
-		inc.Orphaned++
-		e.orphan(d.pending.pop())
-	}
-	d.pending.reset()
-	if d.prefilling && d.prefillReq != nil {
-		inc.Orphaned++
-		inc.KVTokensLost += d.prefillReq.ctxForPrefill()
-		e.orphan(d.prefillReq)
-	}
-	d.prefillReq = nil
-	d.prefilling = false
-	d.stepping = false
-	d.kv.used = 0
-	d.epoch++
-	e.noteHealth(d.health, healthQuarantined)
-	d.health = healthQuarantined
-	e.kvLost += inc.KVTokensLost
-	e.incidents = append(e.incidents, inc)
+	e.evacuate(inst, Incident{At: e.now, Instance: inst, Kind: "sdc"}, healthQuarantined)
 	if e.hz.repair > 0 {
 		e.schedule(e.now+e.hz.repair, evFaultRecover, inst, nil)
 	}
@@ -574,8 +528,7 @@ func (e *Engine) noteStepEWMA(inst int) {
 		return
 	}
 	e.trIncident(false, inst, "gray-drain")
-	e.noteHealth(d.health, healthDraining)
-	d.health = healthDraining
+	e.setHealth(false, inst, healthDraining)
 	hz.grayDrained[inst] = true
 	hz.grayDrains++
 	e.incidents = append(e.incidents, Incident{At: e.now, Instance: inst, Kind: "gray-drain"})
@@ -701,8 +654,10 @@ func (e *Engine) hedgeOrphanAbsorbed(req *reqState) bool {
 		return true
 	}
 	// The original's execution died but its clone races on; the clone's
-	// outcome becomes the request's outcome.
+	// outcome becomes the request's outcome. Until the clone resolves it,
+	// the original's timeline waits in the queue phase.
 	req.hstate = hzAbandoned
+	e.trPhaseBegin(req, obs.PhaseQueue, -1)
 	return true
 }
 

@@ -47,15 +47,18 @@ func (k KVConfig) TotalPages(m *model.Config) int {
 
 // kvPool is the page allocator of one instance: a counter, because
 // pages are interchangeable — what matters for the simulation is
-// exhaustion, admission, and occupancy, not page identity.
+// exhaustion, admission, and occupancy, not page identity. Every page
+// move also lands in *fleet, the fleet-wide used-page total the engine
+// reads without scanning its pools.
 type kvPool struct {
 	cfg   KVConfig
 	total int
 	used  int
+	fleet *int
 }
 
 func newKVPool(cfg KVConfig, m *model.Config) *kvPool {
-	return &kvPool{cfg: cfg, total: cfg.TotalPages(m)}
+	return &kvPool{cfg: cfg, total: cfg.TotalPages(m), fleet: new(int)}
 }
 
 // tryAlloc claims n pages, reporting whether they were available.
@@ -64,15 +67,23 @@ func (p *kvPool) tryAlloc(n int) bool {
 		return false
 	}
 	p.used += n
+	*p.fleet += n
 	return true
 }
 
 // release returns n pages to the pool.
 func (p *kvPool) release(n int) {
 	p.used -= n
+	*p.fleet -= n
 	if p.used < 0 {
 		panic("servesim: kv pool released more pages than allocated")
 	}
+}
+
+// releaseAll frees the whole pool at once (a crash or quarantine).
+func (p *kvPool) releaseAll() {
+	*p.fleet -= p.used
+	p.used = 0
 }
 
 // free returns the available pages.

@@ -487,11 +487,8 @@ func (e *Engine) reloadDone(inst int, req *reqState) {
 		}
 		return
 	}
-	d.admitCounter++
-	req.admitSeq = d.admitCounter
 	e.trPhaseEnd(req)
-	e.trPhaseBegin(req, obs.PhaseDecode, inst)
-	d.active = append(d.active, req)
+	e.joinBatch(inst, req)
 	if !d.stepping && !d.prefilling {
 		e.startStep(inst)
 	}

@@ -27,7 +27,7 @@ func TestParseRouterPolicyRoundTrip(t *testing.T) {
 
 func TestLeastKVRouterPick(t *testing.T) {
 	r := NewRouter(RouteLeastKV, 1)
-	loads := []InstanceLoad{
+	loads := loadList{
 		{Instance: 0, FreeKV: 3},
 		{Instance: 1, FreeKV: 9},
 		{Instance: 2, FreeKV: 9},
@@ -37,7 +37,7 @@ func TestLeastKVRouterPick(t *testing.T) {
 	}
 	// All-equal candidates (the prefill dispatch case, FreeKV 0) tie
 	// to the lowest index — the pre-refactor scan order.
-	flat := []InstanceLoad{{Instance: 2}, {Instance: 5}}
+	flat := loadList{{Instance: 2}, {Instance: 5}}
 	if got := r.Pick(flat); got != 0 {
 		t.Errorf("least-kv tie pick %d, want 0", got)
 	}
@@ -45,7 +45,7 @@ func TestLeastKVRouterPick(t *testing.T) {
 
 func TestRoundRobinRouterCycles(t *testing.T) {
 	r := NewRouter(RouteRoundRobin, 1)
-	full := []InstanceLoad{{Instance: 0}, {Instance: 1}, {Instance: 2}}
+	full := loadList{{Instance: 0}, {Instance: 1}, {Instance: 2}}
 	var got []int
 	for i := 0; i < 7; i++ {
 		k := r.Pick(full)
@@ -58,14 +58,14 @@ func TestRoundRobinRouterCycles(t *testing.T) {
 		}
 	}
 	// A shrunken candidate set still advances past the cursor.
-	if k := r.Pick([]InstanceLoad{{Instance: 0}, {Instance: 2}}); k != 1 {
+	if k := r.Pick(loadList{{Instance: 0}, {Instance: 2}}); k != 1 {
 		t.Errorf("after instance 0, candidates {0,2} picked index %d, want 1 (instance 2)", k)
 	}
 }
 
 func TestShortestQueueRouterPick(t *testing.T) {
 	r := NewRouter(RouteShortestQueue, 1)
-	loads := []InstanceLoad{
+	loads := loadList{
 		{Instance: 0, Queue: 4, FreeKV: 10},
 		{Instance: 1, Queue: 2, FreeKV: 1},
 		{Instance: 2, Queue: 2, FreeKV: 8},
@@ -78,7 +78,7 @@ func TestShortestQueueRouterPick(t *testing.T) {
 // The p2c stream is seeded at construction: two routers with the same
 // seed must produce the same pick sequence, different seeds must not.
 func TestPowerOfTwoDeterministic(t *testing.T) {
-	loads := []InstanceLoad{
+	loads := loadList{
 		{Instance: 0, Queue: 1, FreeKV: 5},
 		{Instance: 1, Queue: 3, FreeKV: 2},
 		{Instance: 2, Queue: 0, FreeKV: 9},
@@ -139,7 +139,7 @@ func TestLeastKVIsZeroValueDefault(t *testing.T) {
 // answer: index 0 — the degenerate case the health-aware dispatch
 // produces when crashes or drains whittle the candidate set down.
 func TestRouterPickSingleCandidate(t *testing.T) {
-	single := []InstanceLoad{{Instance: 3, Queue: 7, FreeKV: 2}}
+	single := loadList{{Instance: 3, Queue: 7, FreeKV: 2}}
 	for _, p := range RouterPolicies() {
 		r := NewRouter(p, 1)
 		for i := 0; i < 3; i++ {
@@ -175,3 +175,9 @@ func TestRouterPoliciesDeterministicAndDistinct(t *testing.T) {
 		t.Errorf("all %d policies produced identical reports — routing is not pluggable", len(RouterPolicies()))
 	}
 }
+
+// loadList is a Candidates over materialized snapshots.
+type loadList []InstanceLoad
+
+func (l loadList) Len() int                { return len(l) }
+func (l loadList) Load(k int) InstanceLoad { return l[k] }

@@ -1,327 +1,132 @@
 package servesim
 
-import (
-	"fmt"
+import "dsv3/internal/units"
 
-	"dsv3/internal/units"
-)
-
-// SchedulerKind selects the event-queue implementation behind the
-// engine's (time, seq)-ordered scheduler. Because event order is a
-// strict total order — seq values are unique — every correct
-// implementation pops the exact same sequence, so the choice is a pure
-// performance profile: reports, traces and metrics are byte-identical
-// across kinds.
-type SchedulerKind int
+// Event kinds, processed in (time, seq) order.
+type eventKind int
 
 const (
-	// SchedHeap is the slice-backed binary min-heap — the parity
-	// baseline. O(log n) push/pop; best when few events are pending.
-	SchedHeap SchedulerKind = iota
-	// SchedCalendar is a calendar queue: events bucketed by time with a
-	// scan for the minimum inside the current bucket. O(1) push and
-	// O(bucket) pop regardless of the total pending count — the fleet-
-	// scale profile, where a million pre-scheduled arrivals would
-	// otherwise put 20 levels under every heap operation.
-	SchedCalendar
+	evArrival eventKind = iota
+	evPrefillDone
+	evDecodeLand
+	evStepDone
+	// evFaultPlanned applies Config.Faults.Events[inst]; evFaultRandom
+	// fires one MTBF-drawn crash and re-arms itself; evFaultRecover
+	// repairs an MTBF-crashed instance after its MTTR dwell (inst >= 0
+	// is a decode index, inst < 0 encodes prefill index -(inst+1)).
+	evFaultPlanned
+	evFaultRandom
+	evFaultRecover
+	// evRetry re-enters an orphaned request into prefill dispatch after
+	// its backoff.
+	evRetry
+	// evReloadDone lands an offloaded request's KV back in HBM: the
+	// request joins its instance's batch (tiered hierarchy only).
+	evReloadDone
+	// evHazard applies Config.Resilience.Hazards.Planes[inst]; evHedge
+	// fires a request's hedge timer (hazard.go).
+	evHazard
+	evHedge
 )
 
-// String implements fmt.Stringer with the CLI spellings.
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedHeap:
-		return "heap"
-	case SchedCalendar:
-		return "calendar"
+type event struct {
+	at   units.Seconds
+	seq  int
+	kind eventKind
+	inst int // prefill instance (evPrefillDone), decode instance (evDecodeLand, evStepDone)
+	// epoch pins evPrefillDone/evStepDone to the owning instance's
+	// incarnation: a crash bumps the instance epoch, so events the dead
+	// incarnation scheduled are recognized as stale and dropped.
+	epoch int
+	req   *reqState
+}
+
+// eventHeap is a slice-backed binary min-heap of event values ordered
+// by (at, seq): no interface boxing on push, no type assertion on pop,
+// no per-event allocation. seq is unique, so the order is strict and
+// total — the pop sequence (and therefore the whole simulation) is
+// identical to any other heap implementation over the same comparator.
+type eventHeap []event
+
+func eventLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return fmt.Sprintf("SchedulerKind(%d)", int(k))
+	return a.seq < b.seq
 }
 
-// ParseScheduler resolves a scheduler kind by its String spelling.
-func ParseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "heap":
-		return SchedHeap, nil
-	case "calendar":
-		return SchedCalendar, nil
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !eventLess(&s[i], &s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
-	return 0, fmt.Errorf("servesim: unknown scheduler %q (want heap or calendar)", s)
 }
 
-// Validate checks the kind is a known one.
-func (k SchedulerKind) Validate() error {
-	if k < SchedHeap || k > SchedCalendar {
-		return fmt.Errorf("servesim: unknown scheduler %d", int(k))
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{} // drop the req pointer so the arena can be collected
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && eventLess(&s[l], &s[smallest]) {
+			smallest = l
+		}
+		if r < n && eventLess(&s[r], &s[smallest]) {
+			smallest = r
+		}
+		if smallest == i {
+			return top
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
 	}
-	return nil
 }
-
-// eventQueue is the pluggable scheduler contract: a priority queue of
-// events under the strict (at, seq) order. size/nextAt let the sharded
-// engine peek window boundaries without disturbing the queue.
-type eventQueue interface {
-	push(ev event)
-	pop() event
-	// nextAt returns the minimum pending event time; only valid when
-	// size() > 0.
-	nextAt() units.Seconds
-	size() int
-	reset()
-}
-
-// eventHeap implements eventQueue (push/pop live in servesim.go).
-
-func (h *eventHeap) nextAt() units.Seconds { return (*h)[0].at }
-
-func (h *eventHeap) size() int { return len(*h) }
 
 func (h *eventHeap) reset() {
-	s := *h
-	for i := range s {
-		s[i] = event{}
-	}
-	*h = s[:0]
+	clear(*h)
+	*h = (*h)[:0]
 }
 
-// calendarQueue is a classic calendar queue specialized for the
-// engine's workload shape: a long ribbon of width-w time buckets, a
-// cursor at the earliest possibly-nonempty bucket, and an overflow
-// ("far") slice for events beyond the bucketed horizon. Push appends to
-// the target bucket in O(1); pop scans the first nonempty bucket for
-// the (at, seq) minimum, so its cost is the bucket occupancy — sized so
-// a handful of events share a bucket — independent of how many far-
-// future arrivals are parked further along the ribbon.
-//
-// Determinism: pop always returns the global (at, seq) minimum (every
-// event in a later bucket is strictly later than every event in an
-// earlier one, and the in-bucket scan breaks ties on seq), so the pop
-// sequence is identical to eventHeap's.
-type calendarQueue struct {
-	width   units.Seconds
-	base    int // global bucket index of buckets[0]
-	cur     int // first possibly-nonempty local bucket
-	n       int
-	buckets [][]event
-	far     []event // global bucket index >= base+len(buckets)
-
-	// cachedAt memoizes nextAt between mutations: a pop invalidates it,
-	// a push only lowers it. The merge loops peek far more often than
-	// they mutate, so this turns their repeated bucket scans into O(1).
-	cachedAt units.Seconds
-	cached   bool
-
-	spill []event // resize scratch
+// nextEvent returns the next event in (time, seq) order, merging the
+// arrival cursor over the request arena with the heap of everything
+// else. The arena is sorted by arrival, and arrival i owns seq i+1:
+// Run numbers every other event after the last arrival, so an arrival
+// wins each tie against a queued event. Keeping arrivals out of the
+// heap holds it at about one pending event per instance instead of one
+// per request. ok is false once both sources are exhausted.
+func (e *Engine) nextEvent() (ev event, ok bool) {
+	if i := e.arrivals; i < len(e.arena) && (len(e.events) == 0 || e.arena[i].Arrival <= e.events[0].at) {
+		e.arrivals++
+		req := &e.arena[i]
+		return event{at: req.Arrival, seq: i + 1, kind: evArrival, req: req}, true
+	}
+	if len(e.events) == 0 {
+		return event{}, false
+	}
+	return e.events.pop(), true
 }
 
-// calendarMaxScan bounds the in-bucket scan: when pop meets a bucket
-// holding more events than this, the width is wrong for the head-of-
-// queue event density (e.g. one pending step per decode instance packed
-// into a few milliseconds while the width was sized for arrivals spread
-// over the whole horizon), and the queue re-buckets itself narrower.
-const calendarMaxScan = 24
-
-// calendarBuckets sizes the ribbon for a run with nEvents expected
-// scheduled events: roughly a few events per bucket, clamped so small
-// runs stay cheap to reset and huge runs stay cheap to hold.
-func calendarBuckets(nEvents int) int {
-	nb := 256
-	for nb < nEvents/4 && nb < 1<<19 {
-		nb *= 2
-	}
-	return nb
+func (e *Engine) schedule(at units.Seconds, kind eventKind, inst int, req *reqState) {
+	e.seq++
+	e.events.push(event{at: at, seq: e.seq, kind: kind, inst: inst, req: req})
 }
 
-// configure re-initializes the queue for a run spanning roughly
-// horizon seconds with nEvents expected events. Bucket storage is
-// retained across runs.
-func (c *calendarQueue) configure(horizon units.Seconds, nEvents int) {
-	c.reset()
-	nb := calendarBuckets(nEvents)
-	if cap(c.buckets) < nb {
-		next := make([][]event, nb)
-		copy(next, c.buckets[:cap(c.buckets)])
-		c.buckets = next
-	}
-	c.buckets = c.buckets[:nb]
-	if horizon <= 0 {
-		horizon = 1
-	}
-	// The makespan routinely outruns the arrival horizon (that is what
-	// overload looks like), so spread the ribbon over a few horizons;
-	// later events still land in-range instead of in the far slice.
-	c.width = 4 * horizon / units.Seconds(nb)
-}
-
-func (c *calendarQueue) bucketOf(at units.Seconds) int {
-	if at <= 0 {
-		return 0
-	}
-	return int(at / c.width)
-}
-
-func (c *calendarQueue) push(ev event) {
-	if c.cached && ev.at < c.cachedAt {
-		c.cachedAt = ev.at
-	}
-	idx := c.bucketOf(ev.at) - c.base
-	if idx >= len(c.buckets) {
-		c.far = append(c.far, ev)
-		c.n++
-		return
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	if idx < c.cur {
-		c.cur = idx
-	}
-	c.buckets[idx] = append(c.buckets[idx], ev)
-	c.n++
-}
-
-// advance moves the cursor to the first nonempty bucket, rebasing the
-// ribbon onto the far slice when every bucketed event is consumed.
-func (c *calendarQueue) advance() {
-	for {
-		for c.cur < len(c.buckets) && len(c.buckets[c.cur]) == 0 {
-			c.cur++
-		}
-		if c.cur < len(c.buckets) {
-			return
-		}
-		// Only far events remain: rebase the ribbon at the earliest one
-		// and redistribute. Rare — it takes a run outliving 4x its
-		// arrival horizon — and amortized by the events it re-homes.
-		minIdx := c.bucketOf(c.far[0].at)
-		for i := 1; i < len(c.far); i++ {
-			if idx := c.bucketOf(c.far[i].at); idx < minIdx {
-				minIdx = idx
-			}
-		}
-		c.base = minIdx
-		c.cur = 0
-		far := c.far
-		c.far = c.far[:0]
-		c.n -= len(far)
-		// c.far shares far's backing array, and push may re-file events
-		// that are still beyond the ribbon right back into it — writing
-		// slots this loop has already consumed, never ones it has yet to
-		// read (at most i+1 events can have been re-filed after i+1
-		// iterations). Only the tail past the new length is stale.
-		for i := range far {
-			c.push(far[i])
-		}
-		for i := len(c.far); i < len(far); i++ {
-			far[i] = event{}
-		}
-	}
-}
-
-func (c *calendarQueue) nextAt() units.Seconds {
-	if c.cached {
-		return c.cachedAt
-	}
-	c.advance()
-	b := c.buckets[c.cur]
-	at := b[0].at
-	for i := 1; i < len(b); i++ {
-		if b[i].at < at {
-			at = b[i].at
-		}
-	}
-	c.cachedAt, c.cached = at, true
-	return at
-}
-
-// resize narrows the bucket width and re-homes every ribbon event (the
-// far slice is untouched — push re-files anything now beyond the
-// shorter span there). The new width spreads the offending bucket's
-// occupancy across ~4-event buckets in one shot, so a queue whose
-// initial width misjudged the head density converges in a single
-// O(ribbon) pass instead of a geometric cascade of them.
-func (c *calendarQueue) resize() {
-	occ := len(c.buckets[c.cur])
-	evs := c.spill[:0]
-	for i := c.cur; i < len(c.buckets); i++ {
-		b := c.buckets[i]
-		for j := range b {
-			evs = append(evs, b[j])
-			b[j] = event{}
-		}
-		c.buckets[i] = b[:0]
-	}
-	c.n -= len(evs)
-	c.width = c.width * 4 / units.Seconds(occ)
-	min := evs[0].at
-	for i := 1; i < len(evs); i++ {
-		if evs[i].at < min {
-			min = evs[i].at
-		}
-	}
-	c.base = c.bucketOf(min)
-	c.cur = 0
-	for i := range evs {
-		c.push(evs[i])
-		evs[i] = event{}
-	}
-	c.spill = evs[:0]
-}
-
-func (c *calendarQueue) pop() event {
-	c.advance()
-	for len(c.buckets[c.cur]) > calendarMaxScan && c.width > 1e-9 {
-		c.resize()
-		c.advance()
-	}
-	b := c.buckets[c.cur]
-	best := 0
-	for i := 1; i < len(b); i++ {
-		if eventLess(&b[i], &b[best]) {
-			best = i
-		}
-	}
-	ev := b[best]
-	last := len(b) - 1
-	b[best] = b[last]
-	b[last] = event{} // drop the req pointer
-	c.buckets[c.cur] = b[:last]
-	c.n--
-	c.cached = false
-	return ev
-}
-
-func (c *calendarQueue) size() int { return c.n }
-
-func (c *calendarQueue) reset() {
-	for i := range c.buckets {
-		b := c.buckets[i]
-		for j := range b {
-			b[j] = event{}
-		}
-		c.buckets[i] = b[:0]
-	}
-	for i := range c.far {
-		c.far[i] = event{}
-	}
-	c.far = c.far[:0]
-	c.base, c.cur, c.n = 0, 0, 0
-	c.cached = false
-}
-
-// newEventQueue returns the engine- or shard-local queue for the kind,
-// reusing prev when it is already the right implementation.
-func newEventQueue(kind SchedulerKind, prev eventQueue) eventQueue {
-	switch kind {
-	case SchedCalendar:
-		if q, ok := prev.(*calendarQueue); ok {
-			return q
-		}
-		return &calendarQueue{}
-	default:
-		if q, ok := prev.(*eventHeap); ok {
-			return q
-		}
-		h := make(eventHeap, 0, 64)
-		return &h
-	}
+// scheduleEpoch is schedule for events that must die with the target
+// instance's current incarnation (evStepDone, evPrefillDone).
+func (e *Engine) scheduleEpoch(at units.Seconds, kind eventKind, inst, epoch int, req *reqState) {
+	e.seq++
+	e.events.push(event{at: at, seq: e.seq, kind: kind, inst: inst, epoch: epoch, req: req})
 }

@@ -37,101 +37,6 @@ type SLO struct {
 // at least 50 tokens/s sustained.
 func DefaultSLO() SLO { return SLO{TTFT: 1.0, TPOT: 20 * units.Millisecond} }
 
-// Event kinds, processed in (time, seq) order.
-type eventKind int
-
-const (
-	evArrival eventKind = iota
-	evPrefillDone
-	evDecodeLand
-	evStepDone
-	// evFaultPlanned applies Config.Faults.Events[inst]; evFaultRandom
-	// fires one MTBF-drawn crash and re-arms itself; evFaultRecover
-	// repairs an MTBF-crashed instance after its MTTR dwell (inst >= 0
-	// is a decode index, inst < 0 encodes prefill index -(inst+1)).
-	evFaultPlanned
-	evFaultRandom
-	evFaultRecover
-	// evRetry re-enters an orphaned request into prefill dispatch after
-	// its backoff.
-	evRetry
-	// evReloadDone lands an offloaded request's KV back in HBM: the
-	// request joins its instance's batch (tiered hierarchy only).
-	evReloadDone
-	// evHazard applies Config.Resilience.Hazards.Planes[inst]; evHedge
-	// fires a request's hedge timer (hazard.go). Both exist only on the
-	// serial path — hazardous configs never shard, so neither kind can
-	// reach the coordinator's barrier-class range check.
-	evHazard
-	evHedge
-)
-
-type event struct {
-	at   units.Seconds
-	seq  int
-	kind eventKind
-	inst int // prefill instance (evPrefillDone), decode instance (evDecodeLand, evStepDone)
-	// epoch pins evPrefillDone/evStepDone to the owning instance's
-	// incarnation: a crash bumps the instance epoch, so events the dead
-	// incarnation scheduled are recognized as stale and dropped.
-	epoch int
-	req   *reqState
-}
-
-// eventHeap is a slice-backed binary min-heap of event values ordered
-// by (at, seq): no interface boxing on push, no type assertion on pop,
-// no per-event allocation. seq is unique, so the order is strict and
-// total — the pop sequence (and therefore the whole simulation) is
-// identical to any other heap implementation over the same comparator.
-type eventHeap []event
-
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(&s[i], &s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the req pointer so the arena can be collected
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && eventLess(&s[l], &s[smallest]) {
-			smallest = l
-		}
-		if r < n && eventLess(&s[r], &s[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-}
-
 // reqState tracks one request through the pipeline. States live in an
 // engine-owned arena, fully re-initialized per run.
 type reqState struct {
@@ -211,11 +116,6 @@ type prefillUnit struct {
 	cur    *reqState
 	epoch  int
 	health healthState
-	// landAt (sharded runs only) bounds when cur's decode hand-off can
-	// land: prefill completion plus the KV transfer. The coordinator's
-	// conservative window never extends past any busy unit's landAt, so
-	// a land is always scheduled before the window it falls in opens.
-	landAt units.Seconds
 }
 
 // decodeUnit is one decode (or colocated) instance.
@@ -308,25 +208,36 @@ type Engine struct {
 	reseed func(int64)
 	now    units.Seconds
 	seq    int
-	events eventQueue // scheduler selected by Fleet.Scheduler (heap default)
+	events eventHeap // every pending event except arrivals
+	// arrivals is the arrival cursor: arena[arrivals] is the next
+	// request to arrive (see nextEvent).
+	arrivals int
 
 	reqs     []Request  // generated workload scratch
 	arena    []reqState // one entry per request, pointer-stable within a run
 	prefillQ fifo
 	prefills []prefillUnit // empty when colocated
 	decodes  []decodeUnit
-	// idlePrefills counts prefill units that are idle and healthy — the
-	// dispatch candidate set size — so the post-event dispatch call can
-	// skip its O(nPrefill) scan when nothing can possibly pair. Kept
-	// exact: ±1 at dispatch/prefillDone, recounted on fault transitions.
-	idlePrefills int
+
+	// Incremental fleet state, so no per-event path scans the fleet.
+	// idle lists the idle, servable prefill units and servable the
+	// servable decode units, both ascending: the routers' candidate
+	// sets. Dispatch and prefillDone move units on and off idle; health
+	// transitions rebuild both (router.go). batch is Σ len(active) and
+	// kvUsed Σ kv.used over the decode units (each pool adds its own
+	// page moves to kvUsed); kvTotal is the fleet's page count.
+	idle     []int
+	servable []int
+	batch    int
+	kvUsed   int
+	kvTotal  int
 
 	// One router instance per decision point, so per-policy state
 	// (round-robin cursors, the p2c stream) never couples prefill
 	// dispatch to the decode hand-off.
 	prefillRouter Router
 	decodeRouter  Router
-	loads         []InstanceLoad // candidate scratch, reused per decision
+	view          candidates // the Candidates a router reads, reused per decision
 
 	mtpFactor float64
 	lc        latConsts // per-run latency constants (see LatencyModel.consts)
@@ -381,20 +292,10 @@ type Engine struct {
 	latHist         stats.Histogram // latency-sample tally (surfaces Dropped)
 	ttft, tpot, e2e []float64       // report percentile scratch
 
-	// Sharded-execution state (see shard.go). sharded is true only while
-	// runSharded is driving the run; every serial run leaves it false, so
-	// the serial path is untouched.
-	sharded  bool
-	shards   []engShard
-	mirror   fleetMirror
-	barrierQ eventHeap // fault-class events, processed only at window edges
-	// landHeap holds the land times of dispatched prefills (a min-heap of
-	// plain timestamps), so the coordinator can bound each window by the
-	// earliest in-flight hand-off in O(1) instead of scanning every
-	// prefill unit. Entries are popped lazily once the window edge passes
-	// them; a stale entry (its prefill already done, its land already
-	// delivered to a shard) only shrinks a window, never corrupts one.
-	landHeap []units.Seconds
+	// afterEvent, when set, runs after every processed event. Tests use
+	// it to check event order and the incremental state against a full
+	// rescan; it is nil otherwise.
+	afterEvent func(ev event)
 }
 
 // faultSpan is one interval during which at least one instance was
@@ -422,6 +323,36 @@ func Run(cfg Config, w Workload) (*Report, error) {
 
 // Run simulates the workload, reusing the engine's buffers.
 func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
+	if err := e.begin(cfg, w); err != nil {
+		return nil, err
+	}
+	for {
+		ev, ok := e.nextEvent()
+		if !ok {
+			break
+		}
+		stop, err := e.processEvent(&ev)
+		if err != nil {
+			return nil, err
+		}
+		if e.afterEvent != nil {
+			e.afterEvent(ev)
+		}
+		// Every request resolved: only maintenance events (fault
+		// schedule entries, MTBF re-arms, repairs) can remain, and the
+		// MTBF chain re-arms itself forever — stop here, not on queue
+		// drain.
+		if stop {
+			break
+		}
+	}
+	return e.finishRun()
+}
+
+// begin validates the run and re-initializes every recycled buffer for
+// it, leaving the fleet idle at time zero with the arrival cursor at
+// the first request and the fault and hazard scripts scheduled.
+func (e *Engine) begin(cfg Config, w Workload) error {
 	if cfg.Fleet.ColocatedStride <= 0 {
 		cfg.Fleet.ColocatedStride = 4
 	}
@@ -429,7 +360,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		cfg.KV.ChunkTokens = DefaultChunkTokens
 	}
 	if err := cfg.validateRun(w); err != nil {
-		return nil, err
+		return err
 	}
 	e.reqs = w.generateInto(parallel.DeriveSeed(cfg.Seed, 0), e.reqs)
 	reqs := e.reqs
@@ -445,7 +376,6 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	e.lc = cfg.Latency.consts()
 	e.resetHier()
 	e.now = 0
-	e.seq = 0
 	e.mtpFactor = 1
 	e.markGen = 0
 	e.prefillQ.reset()
@@ -473,17 +403,18 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	for i := range e.prefills {
 		e.prefills[i] = prefillUnit{}
 	}
-	e.idlePrefills = nPrefill
 	if cap(e.decodes) < nDecode {
 		next := make([]decodeUnit, nDecode)
 		copy(next, e.decodes[:cap(e.decodes)])
 		e.decodes = next
 	}
 	e.decodes = e.decodes[:nDecode]
-	kv := kvPool{cfg: cfg.KV.HBM, total: cfg.KV.HBM.TotalPages(cfg.Latency.Model)}
+	kv := kvPool{cfg: cfg.KV.HBM, total: cfg.KV.HBM.TotalPages(cfg.Latency.Model), fleet: &e.kvUsed}
 	for i := range e.decodes {
 		e.decodes[i].reset(kv)
 	}
+	e.batch, e.kvUsed, e.kvTotal = 0, 0, nDecode*kv.total
+	e.rebuildCandidates()
 	e.resetHazards(nPrefill, nDecode)
 	e.obsBeginRun(nPrefill, nDecode)
 
@@ -497,13 +428,6 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	}
 	e.nextSample = e.sampleStep
 
-	e.events = newEventQueue(cfg.Fleet.Scheduler, e.events)
-	if c, ok := e.events.(*calendarQueue); ok {
-		c.configure(horizon, 2*len(reqs))
-	} else {
-		e.events.reset()
-	}
-
 	if cap(e.arena) < len(reqs) {
 		e.arena = make([]reqState, len(reqs))
 	}
@@ -511,17 +435,11 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	for i := range reqs {
 		e.arena[i] = reqState{Request: reqs[i], inst: -1}
 	}
-
-	if e.shardable(w, nDecode) {
-		if err := e.runSharded(nDecode); err != nil {
-			return nil, err
-		}
-		return e.finishRun()
-	}
-
-	for i := range e.arena {
-		e.schedule(e.arena[i].Arrival, evArrival, 0, &e.arena[i])
-	}
+	// Arrival i carries seq i+1 (nextEvent); every scheduled event is
+	// numbered after the last of them.
+	e.arrivals = 0
+	e.seq = len(e.arena)
+	e.events.reset()
 	if plan := cfg.Resilience.Faults; plan != nil {
 		e.faultReseed(parallel.DeriveSeed(cfg.Seed, 4))
 		for i := range plan.Events {
@@ -532,28 +450,12 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		}
 	}
 	e.scheduleHazards()
-	for e.events.size() > 0 {
-		ev := e.events.pop()
-		stop, err := e.processEvent(&ev)
-		if err != nil {
-			return nil, err
-		}
-		// Every request resolved: only maintenance events (fault
-		// schedule entries, MTBF re-arms, repairs) can remain, and the
-		// MTBF chain re-arms itself forever — stop here, not on queue
-		// drain.
-		if stop {
-			break
-		}
-	}
-	return e.finishRun()
+	return nil
 }
 
 // processEvent advances the simulation through one event: clock, the
 // sampling and metrics grids, the event's handler, then a dispatch
-// pass. It returns stop=true once every request is resolved. The serial
-// loop and the sharded coordinator's replay both funnel coordinator
-// events through here, so the two modes cannot drift.
+// pass. It returns stop=true once every request is resolved.
 func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 	e.now = ev.at
 	e.sampleUpTo(e.now)
@@ -651,26 +553,6 @@ func (e *Engine) finishRun() (*Report, error) {
 	return e.report(), nil
 }
 
-func (e *Engine) schedule(at units.Seconds, kind eventKind, inst int, req *reqState) {
-	e.seq++
-	ev := event{at: at, seq: e.seq, kind: kind, inst: inst, req: req}
-	if e.sharded && kind >= evFaultPlanned && kind <= evFaultRecover {
-		// Fault transitions are barrier-class under sharding: they mutate
-		// shard-owned instance state, so the coordinator chops windows at
-		// their times and applies them on a quiesced fleet (shard.go).
-		e.barrierQ.push(ev)
-		return
-	}
-	e.events.push(ev)
-}
-
-// scheduleEpoch is schedule for events that must die with the target
-// instance's current incarnation (evStepDone, evPrefillDone).
-func (e *Engine) scheduleEpoch(at units.Seconds, kind eventKind, inst, epoch int, req *reqState) {
-	e.seq++
-	e.events.push(event{at: at, seq: e.seq, kind: kind, inst: inst, epoch: epoch, req: req})
-}
-
 // shouldShed applies the admission policy to one arrival: shed when the
 // shared prefill queue is too deep or the up-fleet KV occupancy too
 // high — the graceful-degradation gate that keeps admitted requests'
@@ -687,13 +569,8 @@ func (e *Engine) shouldShed() bool {
 		var used, total int
 		for i := range e.decodes {
 			if d := &e.decodes[i]; !d.health.dead() {
-				if e.sharded {
-					used += e.mirror.used[i]
-					total += e.mirror.total[i]
-				} else {
-					used += d.kv.used
-					total += d.kv.total
-				}
+				used += d.kv.used
+				total += d.kv.total
 			}
 		}
 		if total > 0 && float64(used)/float64(total) > a.MaxKVOccupancy {
@@ -725,45 +602,22 @@ func (e *Engine) dispatch() {
 		}
 		return
 	}
-	if e.idlePrefills == 0 {
-		return
-	}
-	// Health-aware candidate set: crashed and draining prefill units are
-	// invisible to the router (degraded ones still serve, slower).
-	idle := e.loads[:0]
-	for i := range e.prefills {
-		if p := &e.prefills[i]; !p.busy && p.health.servable() {
-			idle = append(idle, InstanceLoad{Instance: i})
-		}
-	}
-	for e.prefillQ.len() > 0 && len(idle) > 0 {
-		k := e.prefillRouter.Pick(idle)
-		inst := idle[k].Instance
-		idle = append(idle[:k], idle[k+1:]...)
+	// The idle list is the health-aware candidate set: crashed and
+	// draining prefill units are never on it (degraded ones still serve,
+	// slower).
+	for e.prefillQ.len() > 0 && len(e.idle) > 0 {
+		inst := e.pickPrefill()
 		req := e.prefillQ.pop()
 		p := &e.prefills[inst]
 		p.busy = true
-		e.idlePrefills--
 		p.cur = req
 		cost := e.prefillCost(req, e.commScaleP(inst))
-		if e.sharded {
-			// The post-prefill context is already determined (see
-			// emitFirstToken), so the hand-off's land time is known now.
-			ctxAtDone := req.ctxForPrefill()
-			if !req.resumed {
-				ctxAtDone = req.PromptTokens + 1
-			}
-			transfer := e.cfg.Latency.kvBytesForContext(e.lc, ctxAtDone) / e.cfg.Fleet.TransferBW
-			p.landAt = e.now + cost + transfer
-			e.landPush(p.landAt)
-		}
 		e.trPhaseEnd(req)
 		e.trPhaseBegin(req, obs.PhasePrefill, inst)
 		e.trCompute(cost, true, inst, obs.ComputePrefill, req.ID)
 		e.scheduleEpoch(e.now+cost, evPrefillDone, inst, p.epoch, req)
 		e.purgeLostHead()
 	}
-	e.loads = idle[:0]
 }
 
 // purgeLostHead drops losing hedge copies off the head of the shared
@@ -802,7 +656,7 @@ func (e *Engine) prefillDone(ev *event) {
 	p.busy = false
 	p.cur = nil
 	if p.health.servable() {
-		e.idlePrefills++
+		e.idle = insertSorted(e.idle, ev.inst)
 	}
 	if req.hstate == hzLost {
 		// The twin completed while this copy prefilled: the work is
@@ -818,62 +672,19 @@ func (e *Engine) prefillDone(ev *event) {
 	}
 	// Route to a decode instance via the configured policy (least-KV
 	// by default), after the KV migration delay. Crashed and draining
-	// instances are excluded; a fleet with no healthy decode instance
+	// instances are excluded; a fleet with no servable decode instance
 	// orphans the request into the retry path.
-	loads := e.loads[:0]
-	for i := range e.decodes {
-		d := &e.decodes[i]
-		if !d.health.servable() {
-			continue
-		}
-		if e.sharded {
-			// Decode state is shard-owned mid-window; the coordinator
-			// routes off its replay-maintained mirror, which is exact as
-			// of the last merged shard record.
-			loads = append(loads, InstanceLoad{
-				Instance: i,
-				Queue:    e.mirror.pending[i] + e.mirror.active[i],
-				FreeKV:   e.mirror.total[i] - e.mirror.used[i],
-			})
-			continue
-		}
-		loads = append(loads, InstanceLoad{
-			Instance: i,
-			Queue:    d.pending.len() + len(d.active),
-			FreeKV:   d.kv.free(),
-		})
-	}
-	if len(loads) == 0 {
-		e.loads = loads[:0]
+	best, ok := e.pickDecode(req)
+	if !ok {
 		e.orphan(req)
 		return
 	}
-	// Hedge anti-affinity: a racing copy avoids its twin's decode
-	// instance when any alternative exists, so the race spans failure
-	// domains instead of queueing twice on the same straggler.
-	if t := req.twin; t != nil && req.hstate == hzRacing && len(loads) > 1 {
-		for k := range loads {
-			if loads[k].Instance == t.inst {
-				loads = append(loads[:k], loads[k+1:]...)
-				break
-			}
-		}
-	}
-	best := loads[e.decodeRouter.Pick(loads)].Instance
 	req.inst = best
-	e.loads = loads[:0]
 	var transfer units.Seconds
 	if e.cfg.Fleet.TransferBW > 0 {
 		transfer = e.cfg.Latency.kvBytesForContext(e.lc, req.ctx) / e.cfg.Fleet.TransferBW
 	}
 	e.trPhaseBegin(req, obs.PhaseTransfer, best)
-	if e.sharded {
-		// The land belongs to the owning shard's queue. Shards are parked
-		// while the coordinator replays, so the push is race-free, and the
-		// land time is at or past the next window edge by the landAt bound.
-		e.shardFor(best).scheduleLand(e.now+transfer, best, req)
-		return
-	}
 	e.schedule(e.now+transfer, evDecodeLand, best, req)
 }
 
@@ -897,10 +708,8 @@ func (e *Engine) complete(req *reqState) {
 	}
 	if req.corrupt {
 		e.hz.corrupt++
-		e.trMark(req, obs.MarkCorrupt)
 	}
-	e.trPhaseEnd(req)
-	e.trMark(req, obs.MarkComplete)
+	e.trResolve(req, obs.MarkComplete)
 	e.completed = append(e.completed, req)
 	e.prefixStore(req)
 }
@@ -977,12 +786,9 @@ func (e *Engine) startStep(inst int) {
 				e.startReload(inst, req)
 				continue
 			}
-			d.admitCounter++
-			req.admitSeq = d.admitCounter
 			d.pending.pop()
 			e.trPhaseEnd(req)
-			e.trPhaseBegin(req, obs.PhaseDecode, inst)
-			d.active = append(d.active, req)
+			e.joinBatch(inst, req)
 			e.notePeakOcc()
 		}
 	}
@@ -1040,12 +846,27 @@ func (e *Engine) colocatedPrefillDone(inst int, req *reqState) {
 		req.pages = 0
 		e.complete(req)
 	} else {
-		d.admitCounter++
-		req.admitSeq = d.admitCounter
-		e.trPhaseBegin(req, obs.PhaseDecode, inst)
-		d.active = append(d.active, req)
+		e.joinBatch(inst, req)
 	}
 	e.startStep(inst)
+}
+
+// joinBatch admits a request into an instance's running batch.
+func (e *Engine) joinBatch(inst int, req *reqState) {
+	d := &e.decodes[inst]
+	d.admitCounter++
+	req.admitSeq = d.admitCounter
+	e.trPhaseBegin(req, obs.PhaseDecode, inst)
+	d.active = append(d.active, req)
+	e.batch++
+}
+
+// setActive shrinks an instance's batch to keep, a prefix of the same
+// backing array, dropping the stale pointers past it.
+func (e *Engine) setActive(d *decodeUnit, keep []*reqState) {
+	clearPtrs(d.active[len(keep):])
+	e.batch -= len(d.active) - len(keep)
+	d.active = keep
 }
 
 // stepDone advances every active request by one decode iteration:
@@ -1068,10 +889,7 @@ func (e *Engine) stepDone(inst int) error {
 				keep = append(keep, req)
 			}
 		}
-		for i := len(keep); i < len(d.active); i++ {
-			d.active[i] = nil
-		}
-		d.active = keep
+		e.setActive(d, keep)
 	}
 	if e.hz.on {
 		corrupt, detected := e.sdcStep()
@@ -1117,10 +935,7 @@ func (e *Engine) stepDone(inst int) error {
 			unfinished = append(unfinished, req)
 		}
 	}
-	for i := len(unfinished); i < len(d.active); i++ {
-		d.active[i] = nil
-	}
-	d.active = unfinished
+	e.setActive(d, unfinished)
 
 	// Victim bookkeeping rides on a per-step generation mark instead of
 	// a freshly allocated set: a request is "preempted this step" iff
@@ -1176,10 +991,7 @@ func (e *Engine) stepDone(inst int) error {
 				keep = append(keep, req)
 			}
 		}
-		for i := len(keep); i < len(d.active); i++ {
-			d.active[i] = nil
-		}
-		d.active = keep
+		e.setActive(d, keep)
 	}
 	e.startStep(inst)
 	return nil
@@ -1207,38 +1019,17 @@ func (e *Engine) pickVictim(d *decodeUnit, grower *reqState, gen int) *reqState 
 }
 
 func (e *Engine) notePeakOcc() {
-	var used, total int
-	for i := range e.decodes {
-		used += e.decodes[i].kv.used
-		total += e.decodes[i].kv.total
-	}
-	if total == 0 {
-		return
-	}
-	if occ := float64(used) / float64(total); occ > e.peakOcc {
+	if occ := e.kvOccupancy(); occ > e.peakOcc {
 		e.peakOcc = occ
 	}
 }
 
-// noteHealth tracks fleet degradation across one instance's health
-// transition, opening/closing the degraded span that splits SLO
-// attainment by fault epoch.
-func (e *Engine) noteHealth(from, to healthState) {
-	wasUp, isUp := from == healthUp, to == healthUp
-	if wasUp == isUp {
-		return
+// kvOccupancy is the used fraction of the decode fleet's KV pages.
+func (e *Engine) kvOccupancy() float64 {
+	if e.kvTotal == 0 {
+		return 0
 	}
-	if isUp {
-		e.downCount--
-		if e.downCount == 0 {
-			e.spans = append(e.spans, faultSpan{start: e.degradedSince, end: e.now})
-		}
-		return
-	}
-	if e.downCount == 0 {
-		e.degradedSince = e.now
-	}
-	e.downCount++
+	return float64(e.kvUsed) / float64(e.kvTotal)
 }
 
 // applyFault applies one fault transition to an instance. Crashing a
@@ -1256,16 +1047,13 @@ func (e *Engine) applyFault(kind FaultKind, prefill bool, inst int) {
 			if p.health != healthUp {
 				e.trIncident(true, inst, "recover")
 			}
-			e.noteHealth(p.health, healthUp)
-			p.health = healthUp
+			e.setHealth(true, inst, healthUp)
 		case FaultDrain:
 			if p.health.servable() {
 				e.trIncident(true, inst, "drain")
-				e.noteHealth(p.health, healthDraining)
-				p.health = healthDraining
+				e.setHealth(true, inst, healthDraining)
 			}
 		}
-		e.recountIdlePrefills()
 		return
 	}
 	d := &e.decodes[inst]
@@ -1278,8 +1066,7 @@ func (e *Engine) applyFault(kind FaultKind, prefill bool, inst int) {
 		if d.health != healthUp {
 			e.trIncident(false, inst, "recover")
 		}
-		e.noteHealth(d.health, healthUp)
-		d.health = healthUp
+		e.setHealth(false, inst, healthUp)
 		if e.hz.on {
 			// A repaired instance re-earns its reputation: stale EWMA
 			// state must not re-drain it on its first steps back.
@@ -1290,8 +1077,7 @@ func (e *Engine) applyFault(kind FaultKind, prefill bool, inst int) {
 	case FaultDrain:
 		if d.health.servable() {
 			e.trIncident(false, inst, "drain")
-			e.noteHealth(d.health, healthDraining)
-			d.health = healthDraining
+			e.setHealth(false, inst, healthDraining)
 		}
 	}
 }
@@ -1343,70 +1129,16 @@ func (e *Engine) crashPrefill(inst int) {
 	p.cur = nil
 	p.busy = false
 	p.epoch++
-	e.noteHealth(p.health, healthDown)
-	p.health = healthDown
+	e.setHealth(true, inst, healthDown)
 	e.kvLost += inc.KVTokensLost
 	e.incidents = append(e.incidents, inc)
-	e.recountIdlePrefills()
 }
 
-// recountIdlePrefills rebuilds the dispatch candidate count after a
-// fault transition (rare; the hot paths maintain it incrementally).
-func (e *Engine) recountIdlePrefills() {
-	n := 0
-	for i := range e.prefills {
-		if p := &e.prefills[i]; !p.busy && p.health.servable() {
-			n++
-		}
-	}
-	e.idlePrefills = n
-}
-
-// crashDecode kills a decode (or colocated) instance: the active batch,
-// the landing queue and any stall-the-world prefill are orphaned, the
-// KV pool is freed wholesale, and the epoch bump invalidates the
-// instance's in-flight evStepDone/evPrefillDone events.
+// crashDecode kills a decode (or colocated) instance: everything it
+// holds is orphaned and its KV pool freed wholesale (evacuate).
 func (e *Engine) crashDecode(inst int) {
-	d := &e.decodes[inst]
 	e.trIncident(false, inst, "crash")
-	inc := Incident{At: e.now, Instance: inst, Kind: "crash"}
-	for _, req := range d.active {
-		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
-		e.orphan(req)
-	}
-	clearPtrs(d.active)
-	d.active = d.active[:0]
-	for _, req := range d.reloads {
-		// In-flight reloads hold pages on the crashed pool and count as
-		// KV-resident context lost.
-		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
-		e.orphan(req)
-	}
-	clearPtrs(d.reloads)
-	d.reloads = d.reloads[:0]
-	for d.pending.len() > 0 {
-		// Landed requests hold no pages yet; they are affected but add
-		// no KV loss.
-		inc.Orphaned++
-		e.orphan(d.pending.pop())
-	}
-	d.pending.reset()
-	if d.prefilling && d.prefillReq != nil {
-		inc.Orphaned++
-		inc.KVTokensLost += d.prefillReq.ctxForPrefill()
-		e.orphan(d.prefillReq)
-	}
-	d.prefillReq = nil
-	d.prefilling = false
-	d.stepping = false
-	d.kv.used = 0
-	d.epoch++
-	e.noteHealth(d.health, healthDown)
-	d.health = healthDown
-	e.kvLost += inc.KVTokensLost
-	e.incidents = append(e.incidents, inc)
+	e.evacuate(inst, Incident{At: e.now, Instance: inst, Kind: "crash"}, healthDown)
 }
 
 // orphan routes one crash-dropped request through the retry policy:
@@ -1451,7 +1183,7 @@ func (e *Engine) orphan(req *reqState) {
 			t.hstate = hzDone
 		}
 	}
-	e.trMark(req, obs.MarkFailed)
+	e.trResolve(req, obs.MarkFailed)
 	e.failed = append(e.failed, req)
 }
 
@@ -1478,33 +1210,11 @@ func (e *Engine) sampleUpTo(t units.Seconds) {
 			e.nextSample = e.samples[keep-1].Time + e.sampleStep
 			continue
 		}
-		batch, used, total := e.fleetSnapshot()
-		occ := 0.0
-		if total > 0 {
-			occ = float64(used) / float64(total)
-		}
 		e.samples = append(e.samples, TimelinePoint{
 			Time:        e.nextSample,
-			ActiveBatch: batch,
-			KVOccupancy: occ,
+			ActiveBatch: e.batch,
+			KVOccupancy: e.kvOccupancy(),
 		})
 		e.nextSample += e.sampleStep
 	}
-}
-
-// fleetSnapshot totals the decode fleet's instantaneous state — the
-// running batch and KV pool usage — shared by the timeline sampler and
-// the metrics registry (fillMetrics).
-func (e *Engine) fleetSnapshot() (batch, used, total int) {
-	if e.sharded {
-		m := &e.mirror
-		return m.batchSum, m.usedSum, m.totalSum
-	}
-	for i := range e.decodes {
-		d := &e.decodes[i]
-		batch += len(d.active)
-		used += d.kv.used
-		total += d.kv.total
-	}
-	return batch, used, total
 }

@@ -55,8 +55,9 @@ func reqInfo(r *reqState) obs.ReqInfo {
 // Hedge clones share their original's request ID, so their phase and
 // mark hooks are suppressed: one ID must carry one phase timeline for
 // the reconciliation invariant to hold. Hedge-specific marks (hedge,
-// hedge-win, corrupt) fire on the arena original; clone compute still
-// shows up in the per-instance compute slices, where it belongs.
+// hedge-win) fire on the arena original, and a clone that resolves the
+// request closes the original's timeline (trResolve). Clone compute
+// still shows up in the per-instance compute slices, where it belongs.
 
 func (e *Engine) trPhaseBegin(req *reqState, ph obs.Phase, inst int) {
 	if e.tracer != nil && !req.isClone {
@@ -74,6 +75,25 @@ func (e *Engine) trMark(req *reqState, m obs.Mark) {
 	if e.tracer != nil && !req.isClone {
 		e.tracer.Mark(e.now, reqInfo(req), m)
 	}
+}
+
+// trResolve closes the timeline of a request that just completed or
+// failed (m). When req is a hedge clone, the request it resolves is its
+// arena original, whatever phase the original was in.
+func (e *Engine) trResolve(req *reqState, m obs.Mark) {
+	if e.tracer == nil {
+		return
+	}
+	orig := req
+	if req.isClone {
+		orig = req.twin
+	}
+	info := reqInfo(orig)
+	if req.corrupt && m == obs.MarkComplete {
+		e.tracer.Mark(e.now, info, obs.MarkCorrupt)
+	}
+	e.tracer.PhaseEnd(e.now, orig.ID)
+	e.tracer.Mark(e.now, info, m)
 }
 
 func (e *Engine) trCompute(dur units.Seconds, prefill bool, inst int, kind obs.ComputeKind, v int) {
@@ -166,12 +186,9 @@ func (e *Engine) metricsUpTo(t units.Seconds) {
 // fillMetrics snapshots the engine into one registry sample row.
 func (e *Engine) fillMetrics(row []units.Seconds) {
 	mi := &e.mi
-	batch, used, total := e.fleetSnapshot()
 	row[mi.queue] = float64(e.prefillQ.len())
-	row[mi.batch] = float64(batch)
-	if total > 0 {
-		row[mi.kvOcc] = float64(used) / float64(total)
-	}
+	row[mi.batch] = float64(e.batch)
+	row[mi.kvOcc] = e.kvOccupancy()
 	healthy := 0
 	for i := range e.prefills {
 		if e.prefills[i].health == healthUp {

@@ -112,32 +112,67 @@ func TestTraceDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// hedgedTraceConfig races hedge copies against a permanent straggler
+// under MTBF crashes, so the trace sees clones win, originals lose and
+// orphaned copies hand their request to the surviving twin.
+func hedgedTraceConfig() (Config, Workload) {
+	cfg := V3ServeConfig()
+	cfg.KV.HBM.CapacityBytes = 0.4e9
+	cfg.Resilience.Retry = RetryPolicy{MaxRetries: 1, Backoff: 0.2}
+	cfg.Resilience.Faults = &FaultPlan{MTBF: 4, MTTR: 2}
+	cfg.Resilience.Hazards = &HazardPlan{Planes: []PlaneHazardEvent{
+		{At: 2, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
+	}}
+	cfg.Resilience.Hedge = HedgePolicy{Delay: 3}
+	return cfg, testWorkload(4, 200)
+}
+
 // TestTracePhaseReconciliation pins the phase-attribution invariant:
-// every resolved request's queue+prefill+transfer+reload+decode+backoff
-// spans sum to its end-to-end latency, because consecutive phases share
-// their boundary instants.
+// every resolved request has one breakdown, and its
+// queue+prefill+transfer+reload+decode+backoff spans sum to its
+// end-to-end latency, because consecutive phases share their boundary
+// instants. The hedged run covers requests a clone resolves.
 func TestTracePhaseReconciliation(t *testing.T) {
-	rec := obs.NewTraceRecorder()
-	_, rep := traceRun(t, NewEngine(), rec)
-	bds := rec.Breakdowns()
-	if len(bds) != rep.Completed+rep.Failed+rep.Shed {
-		t.Fatalf("breakdowns %d, want %d resolved requests",
-			len(bds), rep.Completed+rep.Failed+rep.Shed)
-	}
-	for _, b := range bds {
-		e2e, sum := b.E2E(), b.PhaseSum()
-		tol := 1e-9 * math.Max(1, e2e)
-		if math.Abs(e2e-sum) > tol {
-			t.Errorf("req %d (%s): phases sum to %.12f, e2e %.12f", b.ID, b.Outcome, sum, e2e)
-		}
-	}
-	counts := rec.EventCounts()
-	total := 0
-	for _, c := range counts {
-		total += c.N
-	}
-	if total == 0 || rec.Events() == 0 {
-		t.Fatal("no events recorded")
+	for _, c := range []struct {
+		name string
+		run  func() (Config, Workload)
+	}{
+		{"tiered-faulted", tracedConfig},
+		{"hedged", hedgedTraceConfig},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, w := c.run()
+			rec := obs.NewTraceRecorder()
+			eng := NewEngine()
+			eng.AttachTracer(rec)
+			rep, err := eng.Run(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Resilience.Hedge.enabled() && rep.HedgeWins == 0 {
+				t.Fatal("no hedge clone won; the hedged case covers nothing")
+			}
+			bds := rec.Breakdowns()
+			if len(bds) != rep.Completed+rep.Failed+rep.Shed {
+				t.Fatalf("breakdowns %d, want %d resolved requests",
+					len(bds), rep.Completed+rep.Failed+rep.Shed)
+			}
+			for _, b := range bds {
+				e2e, sum := b.E2E(), b.PhaseSum()
+				tol := 1e-9 * math.Max(1, e2e)
+				if math.Abs(e2e-sum) > tol {
+					t.Errorf("req %d (%s): phases sum to %.12f, e2e %.12f", b.ID, b.Outcome, sum, e2e)
+				}
+			}
+			counts := rec.EventCounts()
+			total := 0
+			for _, c := range counts {
+				total += c.N
+			}
+			if total == 0 || rec.Events() == 0 {
+				t.Fatal("no events recorded")
+			}
+		})
 	}
 }
 

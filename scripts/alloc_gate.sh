@@ -29,14 +29,14 @@
 #                               and recycled, so the overhead over the
 #                               clean engine is the hazard plan's
 #                               per-run RNG plus the hedge tracker
-#   BenchmarkServeFleet    48 — the 1000-instance sharded run on a warm
-#                               engine; the extra allocs over the serial
-#                               engine are the per-run shard group (its
-#                               goroutines and channels) plus per-shard
-#                               calendar re-bucketing
-#   BenchmarkEventQueue/*  0  — a steady-state hold op (pop + push) on
-#                               either scheduler touches only retained
-#                               buckets/heap storage
+#   BenchmarkServeFleet    12 — the 1000-instance run on a warm engine:
+#                               the small engine's 6 plus the two p2c
+#                               routers and their seeded RNG streams
+#   BenchmarkEventQueue/*  0  — a steady-state hold op (pop + push)
+#                               touches only retained heap storage
+#   BenchmarkDispatch/*    0  — prefill dispatch over 600 idle units
+#   BenchmarkHandoff/*     0  — the prefill->decode hand-off over 400
+#                               servable decode units
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,16 +47,18 @@ BenchmarkServeEngine 6
 BenchmarkServeEngineTiered 10
 BenchmarkServeEngineTraced 20
 BenchmarkServeEngineHazard 8
-BenchmarkServeFleet 48
+BenchmarkServeFleet 12
 BenchmarkEventQueue/heap/n=100000 0
 BenchmarkEventQueue/heap/n=1000000 0
-BenchmarkEventQueue/calendar/n=100000 0
-BenchmarkEventQueue/calendar/n=1000000 0
+BenchmarkDispatch/p2c 0
+BenchmarkDispatch/least-kv 0
+BenchmarkHandoff/p2c 0
+BenchmarkHandoff/least-kv 0
 "
 
 pattern="$(awk 'NF && $1 !~ /\// { printf "%s%s", sep, $1; sep = "|" }' <<<"$budgets")"
 out="$(go test -run=NONE -bench="^(${pattern})\$" -benchmem -benchtime=1x .
-       go test -run=NONE -bench='^BenchmarkEventQueue$' -benchmem -benchtime=1x ./internal/servesim)"
+       go test -run=NONE -bench='^(BenchmarkEventQueue|BenchmarkDispatch|BenchmarkHandoff)$' -benchmem -benchtime=1x ./internal/servesim)"
 echo "$out"
 
 status=0

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Profile snapshot: captures CPU and allocation profiles for the
 # fleet-scale serving benchmark (BenchmarkServeFleet — the 1000-instance
-# sharded run), the hot path the sharded coordinator and calendar queue
-# were built for, and prints the top entries of each.
+# run on the serial event loop, where any per-event cost that grows with
+# fleet width shows first) and prints the top entries of each.
 #
 # Usage:
 #   scripts/profile.sh                       # profile BenchmarkServeFleet
