@@ -9,14 +9,16 @@
 // node-limited routing, DeepEP dispatch/combine, MLA decode analysis,
 // MTP speculative decoding, the DualPipe training-step model). Every
 // table and figure of the paper's evaluation can be regenerated through
-// the runners in this facade. Sweep-shaped runners fan out over a
-// deterministic worker pool whose output is bit-identical to serial
-// execution; see DESIGN.md for the experiment index and the
+// the experiment catalogue in this facade. Sweep-shaped runners fan out
+// over a deterministic worker pool whose output is bit-identical to
+// serial execution; see DESIGN.md for the experiment index and the
 // concurrency/determinism model.
 //
 // Quick start:
 //
-//	fmt.Println(dsv3.RenderTable1())            // KV cache comparison
+//	e, _ := dsv3.FindExperiment("table1")       // KV cache comparison
+//	res, _ := e.Run(dsv3.RunOptions{})
+//	fmt.Println(res.Text())
 //	rows, _ := dsv3.Figure7()                   // DeepEP bandwidth sweep
 //	m, _ := dsv3.TrainingConfig().Run()         // Table 4 metrics
 //
@@ -29,7 +31,6 @@ import (
 	"dsv3/internal/collective"
 	"dsv3/internal/deepep"
 	"dsv3/internal/experiments"
-	"dsv3/internal/fp8train"
 	"dsv3/internal/gemm"
 	"dsv3/internal/inference"
 	"dsv3/internal/logfmt"
@@ -88,14 +89,9 @@ var (
 	ExperimentNames = experiments.SuggestNames
 	// FindExperiment resolves a case-insensitive experiment name.
 	FindExperiment = experiments.Find
-	// EmitJSON / EmitJSONAll / EmitCSV / EmitCSVAll serialize results;
-	// DecodeResultJSON parses an EmitJSON document back.
-	EmitJSON          = results.EmitJSON
-	EmitJSONAll       = results.EmitJSONAll
-	EmitCSV           = results.EmitCSV
-	EmitCSVAll        = results.EmitCSVAll
-	DecodeResultJSON  = results.DecodeJSON
-	ParseResultFormat = results.ParseFormat
+	// EmitJSON / EmitCSV serialize a result.
+	EmitJSON = results.EmitJSON
+	EmitCSV  = results.EmitCSV
 	// Builders for constructing results outside the catalogue (used by
 	// cmd/dsv3serve and custom tooling).
 	NewExperimentResult = results.New
@@ -111,13 +107,11 @@ var (
 // forces serial execution (the parity baseline).
 var (
 	SetParallelWorkers = parallel.SetWorkers
-	ParallelWorkers    = parallel.Workers
 	DeriveSeed         = parallel.DeriveSeed
-	// NewSeededRand / TaskRand are the sanctioned seeded-RNG
-	// constructors: explicit deterministic streams, never the global
-	// source (a guard test rejects bare rand.NewSource elsewhere).
+	// NewSeededRand is the sanctioned seeded-RNG constructor: an
+	// explicit deterministic stream, never the global source (a guard
+	// test rejects bare rand.NewSource elsewhere).
 	NewSeededRand = parallel.NewRand
-	TaskRand      = parallel.TaskRand
 )
 
 // Model configurations (Table 1 / Table 2 subjects).
@@ -126,25 +120,14 @@ type ModelConfig = model.Config
 // Published model configurations.
 var (
 	DeepSeekV3 = model.DeepSeekV3
-	DeepSeekV2 = model.DeepSeekV2
 	Qwen72B    = model.Qwen72B
 	LLaMA405B  = model.LLaMA405B
-)
-
-// Deployment rooflines (§2.2.2).
-type Deployment = model.Deployment
-
-var (
-	AISoC             = model.AISoC
-	ConsumerGPUServer = model.ConsumerGPUServer
 )
 
 // Numerics (§3).
 type (
 	// Format is a bit-exact minifloat format (E4M3, E5M2, BF16, ...).
 	Format = quant.Format
-	// Accumulator simulates the tensor-core accumulation data path.
-	Accumulator = quant.Accumulator
 	// Matrix is the dense matrix carrier used by the GEMM paths.
 	Matrix = quant.Matrix
 	// LogFMTCodec is the §3.2 logarithmic communication format.
@@ -158,7 +141,6 @@ var (
 	E4M3             = quant.E4M3
 	E5M2             = quant.E5M2
 	BF16             = quant.BF16
-	HopperFP8        = quant.HopperFP8
 	NewLogFMT        = logfmt.New
 	DeepSeekV3Recipe = gemm.DeepSeekV3Recipe
 	FP8GEMM          = gemm.FP8
@@ -171,38 +153,22 @@ var (
 type (
 	TopologyCounts = topology.Counts
 	CostModel      = topology.CostModel
-	FatTree2       = topology.FatTree2
-	SlimFly        = topology.SlimFly
-	Dragonfly      = topology.Dragonfly
-	Graph          = topology.Graph
 )
 
 var (
-	FT2Counts        = topology.FT2Counts
 	FT3Counts        = topology.FT3Counts
 	MPFTCounts       = topology.MPFTCounts
 	SlimFlyCounts    = topology.SlimFlyCounts
-	DragonflyCounts  = topology.DragonflyCounts
 	DefaultCostModel = topology.DefaultCostModel
 )
 
-// Network simulation (§5).
-type (
-	Flow          = netsim.Flow
-	SimResult     = netsim.Result
-	Router        = netsim.Router
-	RoutingPolicy = netsim.Policy
-)
+// Network routing policies (§5.2, Figure 8).
+type RoutingPolicy = netsim.Policy
 
 const (
 	PolicyECMP     = netsim.PolicyECMP
 	PolicyAdaptive = netsim.PolicyAdaptive
 	PolicyStatic   = netsim.PolicyStatic
-)
-
-var (
-	SimulateFlows = netsim.Simulate
-	NewRouter     = netsim.NewRouter
 )
 
 // Cluster model (§4.1) and collectives (Figures 5, 6, 8).
@@ -211,7 +177,6 @@ type (
 	ClusterConfig  = cluster.Config
 	FabricKind     = cluster.FabricKind
 	CollectiveOpts = collective.Options
-	LatencyParams  = cluster.LatencyParams
 )
 
 const (
@@ -227,15 +192,12 @@ var (
 	// sweeps share one graph.
 	CachedCluster         = cluster.Cached
 	AllToAll              = collective.AllToAll
-	RingCollective        = collective.RingCollective
 	DefaultCollectiveOpts = collective.DefaultOptions
-	DefaultLatencyParams  = cluster.DefaultLatencyParams
 )
 
 // MoE routing (§4.3) and DeepEP (Figure 7).
 type (
-	Gate            = moe.Gate
-	ExpertPlacement = moe.Placement
+	Gate = moe.Gate
 	// MoERouter is the allocation-free router used by the routing hot
 	// paths: reusable scratch lives in the Router value.
 	MoERouter    = moe.Router
@@ -248,8 +210,6 @@ var (
 	NewMoERouter   = moe.NewRouter
 	DeepEPV3Config = deepep.V3Config
 	DeepEPDispatch = deepep.Dispatch
-	DeepEPCombine  = deepep.Combine
-	DeepEPSweep    = deepep.Sweep
 )
 
 // Inference analyses (§2.1.2, §2.3.2, §2.3.3).
@@ -269,64 +229,41 @@ var (
 
 // Serving simulator (request-level traffic over the inference models):
 // discrete-event prefill/decode cluster with continuous batching, a
-// paged MLA-sized KV cache, and optional MTP speculation. Deterministic
-// by construction — see internal/servesim and DESIGN.md.
+// tiered MLA-sized KV cache, optional MTP speculation, fault injection
+// and cross-layer hazards. Deterministic by construction — see
+// internal/servesim and DESIGN.md.
 type (
-	ServeConfig       = servesim.Config
-	ServeWorkload     = servesim.Workload
-	ServeReport       = servesim.Report
-	ServeRequest      = servesim.Request
-	ServeSLO          = servesim.SLO
-	ServeLatencyModel = servesim.LatencyModel
-	ServeLengthDist   = servesim.LengthDist
-	ServeSweepPoint   = servesim.SweepPoint
-	// The redesigned config groups: ServeConfig.Fleet owns deployment
-	// shape and routing, ServeConfig.KV the tiered cache hierarchy
-	// (HBM tier 0 plus optional DRAM/flash spill tiers and the prefix
-	// cache), and ServeConfig.Resilience the fault/retry/admission
-	// knobs. Zero values reproduce the legacy flat-config semantics.
-	ServeFleetConfig      = servesim.FleetConfig
-	ServeKVHierarchy      = servesim.KVHierarchy
-	ServeKVTierConfig     = servesim.KVTierConfig
-	ServeResilienceConfig = servesim.ResilienceConfig
-	// ServeTierStat reports bytes moved in/out of one tier
-	// (ServeReport.KVTierMoves; index 0 is HBM).
-	ServeTierStat = servesim.TierStat
-
-	// ServeKVConfig configures one pool tier; ServeConfig.KV.HBM is the
-	// resident tier 0.
-	//
-	// Deprecated: ServeKVConfig now names only a single tier. Configure
-	// the cache through ServeKVHierarchy (ServeConfig.KV), which wraps
-	// the legacy pool as its HBM field.
-	ServeKVConfig = servesim.KVConfig
-	// ServeRouter is the pluggable instance-selection policy interface;
-	// ServeRouterPolicy names the built-ins (ServeConfig.Fleet.Router), and
-	// ServeInstanceLoad is the candidate snapshot a router picks over.
-	ServeRouter       = servesim.Router
+	ServeConfig     = servesim.Config
+	ServeWorkload   = servesim.Workload
+	ServeReport     = servesim.Report
+	ServeRequest    = servesim.Request
+	ServeLengthDist = servesim.LengthDist
+	ServeSweepPoint = servesim.SweepPoint
+	// ServeKVTierConfig is one below-HBM spill tier of
+	// ServeConfig.KV.Tiers (DRAM, flash, ...).
+	ServeKVTierConfig = servesim.KVTierConfig
+	// ServeRouterPolicy names a built-in instance-selection policy
+	// (ServeConfig.Fleet.Router).
 	ServeRouterPolicy = servesim.RouterPolicy
-	ServeInstanceLoad = servesim.InstanceLoad
 	// ServeCapacityPlanner bisects for the max sustainable arrival rate
 	// meeting a target SLO attainment — the per-fleet goodput knee.
 	ServeCapacityPlanner = servesim.CapacityPlanner
 	ServeCapacityResult  = servesim.CapacityResult
-	ServeCapacityProbe   = servesim.CapacityProbe
 	// ServeEngine is the reusable simulation engine: one engine recycles
 	// its event heap, request arena and metric buffers across Run calls
 	// (byte-identical to fresh construction). Not safe for concurrent
 	// use; sweeps thread one per worker.
 	ServeEngine = servesim.Engine
 	// Fault injection and graceful degradation (ServeConfig.Resilience
-	// .Faults / .Retry / .Admission): a seeded crash/recover/drain schedule plus
-	// MTBF-style random injection, retry-with-backoff for orphaned
-	// requests, and queue-depth/KV-occupancy admission shedding.
-	// ServeIncident records each crash's blast radius in the report.
+	// .Faults / .Retry / .Admission): a seeded crash/recover/drain
+	// schedule plus MTBF-style random injection, retry-with-backoff for
+	// orphaned requests, and queue-depth/KV-occupancy admission
+	// shedding.
 	ServeFaultPlan       = servesim.FaultPlan
 	ServeFaultEvent      = servesim.FaultEvent
 	ServeFaultKind       = servesim.FaultKind
 	ServeRetryPolicy     = servesim.RetryPolicy
 	ServeAdmissionPolicy = servesim.AdmissionPolicy
-	ServeIncident        = servesim.Incident
 	// Cross-layer hazards (ServeConfig.Resilience.Hazards / .Hedge):
 	// plane-failure bandwidth derates on the EP interconnect, silent
 	// data corruption on decode steps with Freivalds verification and
@@ -357,10 +294,6 @@ const (
 	FaultCrash   = servesim.FaultCrash
 	FaultRecover = servesim.FaultRecover
 	FaultDrain   = servesim.FaultDrain
-
-	// DefaultServeChunkTokens is the offload/prefix-cache chunk
-	// granularity used when ServeConfig.KV.ChunkTokens is zero.
-	DefaultServeChunkTokens = servesim.DefaultChunkTokens
 )
 
 var (
@@ -368,12 +301,8 @@ var (
 	NewServeEngine              = servesim.NewEngine
 	ServeRateSweep              = servesim.RateSweep
 	V3ServeConfig               = servesim.V3ServeConfig
-	V3ServeLatency              = servesim.V3LatencyModel
-	DefaultServeSLO             = servesim.DefaultSLO
 	ParseServeTrace             = servesim.ParseTrace
-	FixedLength                 = servesim.Fixed
 	LogNormalLength             = servesim.LogNormal
-	NewServeRouter              = servesim.NewRouter
 	ParseServeRouterPolicy      = servesim.ParseRouterPolicy
 	ServeRouterPolicies         = servesim.RouterPolicies
 	DefaultServeCapacityPlanner = servesim.DefaultCapacityPlanner
@@ -382,8 +311,8 @@ var (
 	ParseServeAdmissionPolicy   = servesim.ParseAdmissionPolicy
 	// ParseServeKVTiers parses a "/"-separated KV tier spec
 	// ("name=dram,cap=8,read=24,write=16,lat=0.05/...") into the spill
-	// tiers of a ServeKVHierarchy — the format behind dsv3serve's
-	// -kv-tiers flag.
+	// tiers of ServeConfig.KV — the format behind dsv3serve's -kv-tiers
+	// flag.
 	ParseServeKVTiers = servesim.ParseKVTiers
 	// ParseServeHazardEvents parses a comma-separated plane-hazard spec
 	// ("degrade@4:d1:6/8,heal@16:d1") and ParseServeHedgePolicy a hedge
@@ -391,134 +320,11 @@ var (
 	// formats behind dsv3serve's -hazard and -hedge flags.
 	ParseServeHazardEvents = servesim.ParseHazardEvents
 	ParseServeHedgePolicy  = servesim.ParseHedgePolicy
-)
-
-// Training (Table 4).
-type (
-	TrainingMetrics = trainsim.Metrics
-	PipelineCosts   = pipeline.Costs
-	PipelineResult  = pipeline.Result
-)
-
-var (
-	TrainingConfig   = trainsim.V3Config
-	SimulatePipeline = pipeline.Simulate
-	AnalyticDualPipe = pipeline.AnalyticDualPipe
-)
-
-// FP8 training validation (§2.4).
-type FP8TrainConfig = fp8train.Config
-
-var (
-	FP8TrainDefault = fp8train.DefaultConfig
-	FP8Train        = fp8train.Train
-)
-
-// Experiment runners: regenerate every table and figure.
-var (
-	Table1                = experiments.Table1
-	Table2                = experiments.Table2
-	Table3                = experiments.Table3
-	Table4                = experiments.Table4
-	Figure5               = experiments.Figure5
-	Figure6               = experiments.Figure6
-	Figure7               = experiments.Figure7
-	Figure8               = experiments.Figure8
-	InferenceLimits       = experiments.InferenceLimits
-	MTPSpeedup            = experiments.MTPSpeedup
-	LocalDeployment       = experiments.LocalDeployment
-	FP8Accuracy           = experiments.FP8Accuracy
-	AccumulationAblation  = experiments.AccumulationAblation
-	LogFMTAccuracy        = experiments.LogFMTAccuracy
-	NodeLimitedRouting    = experiments.NodeLimitedRouting
-	PlaneFailure          = experiments.PlaneFailure
-	RenderTable1          = experiments.RenderTable1
-	RenderTable2          = experiments.RenderTable2
-	RenderTable3          = experiments.RenderTable3
-	RenderTable4          = experiments.RenderTable4
-	RenderTable5          = experiments.RenderTable5
-	RenderFigure5         = experiments.RenderFigure5
-	RenderFigure6         = experiments.RenderFigure6
-	RenderFigure7         = experiments.RenderFigure7
-	RenderFigure8         = experiments.RenderFigure8
-	RenderInferenceLimits = experiments.RenderInferenceLimits
-	RenderMTP             = experiments.RenderMTP
-	RenderLocalDeploy     = experiments.RenderLocalDeployment
-	RenderFP8Accuracy     = experiments.RenderFP8Accuracy
-	RenderAccumulation    = experiments.RenderAccumulationAblation
-	RenderLogFMT          = experiments.RenderLogFMT
-	RenderNodeLimited     = experiments.RenderNodeLimited
-	RenderPlaneFailure    = experiments.RenderPlaneFailure
-	DefaultFigure5Sizes   = experiments.DefaultFigure5Sizes
-	DefaultFigure6Sizes   = experiments.DefaultFigure6Sizes
-	BandwidthContention   = experiments.BandwidthContention
-	OverlapStudy          = experiments.OverlapAblation
-	SDCDetection          = experiments.SDCDetection
-	RenderContention      = experiments.RenderContention
-	RenderOverlap         = experiments.RenderOverlap
-	RenderSDC             = experiments.RenderSDC
-)
-
-// Structured-table builders: the typed layer behind the Render
-// helpers. Each returns results.Table(s) carrying units and raw values
-// alongside the display text.
-var (
-	Table1Result           = experiments.Table1Result
-	Table2Result           = experiments.Table2Result
-	Table3Result           = experiments.Table3Result
-	Table4Result           = experiments.Table4Result
-	Table5Result           = experiments.Table5Result
-	Figure5Result          = experiments.Figure5Result
-	Figure6Result          = experiments.Figure6Result
-	Figure7Result          = experiments.Figure7Result
-	Figure8Result          = experiments.Figure8Result
-	InferenceLimitsResult  = experiments.InferenceLimitsResult
-	MTPResultTables        = experiments.MTPResultTables
-	LocalDeploymentResult  = experiments.LocalDeploymentResult
-	FP8AccuracyResultTable = experiments.FP8AccuracyResultTable
-	AccumulationResult     = experiments.AccumulationAblationResult
-	LogFMTResult           = experiments.LogFMTAccuracyResult
-	NodeLimitedResult      = experiments.NodeLimitedRoutingResult
-	PlaneFailureResult     = experiments.PlaneFailureResult
-	OverlapResult          = experiments.OverlapAblationResult
-	ContentionResult       = experiments.BandwidthContentionResult
-	SDCResultTable         = experiments.SDCDetectionResult
-)
-
-// Serving studies: the router shoot-out and the SLO capacity knee per
-// fleet shape (serve-router / serve-capacity catalogue entries).
-type ServeCapacityStudyPoint = experiments.CapacityStudyPoint
-
-var (
-	ServeRouterShootout       = experiments.RouterShootout
-	ServeCapacityStudy        = experiments.CapacityStudy
-	ServeRouterShootoutResult = experiments.RouterShootoutResult
-	ServeCapacityStudyResult  = experiments.CapacityStudyResult
-	RenderServeRouters        = experiments.RenderRouterShootout
-	RenderServeCapacity       = experiments.RenderCapacityStudy
-)
-
-// Failure studies: the kill-an-instance incident replay per router and
-// the admission shedding shoot-out under diurnal overload
-// (serve-failure / serve-shed catalogue entries).
-var (
-	ServeFailureStudy       = experiments.FailureStudy
-	ServeShedStudy          = experiments.ShedStudy
-	ServeFailureStudyResult = experiments.FailureStudyResult
-	ServeShedStudyResult    = experiments.ShedStudyResult
-	RenderServeFailure      = experiments.RenderFailureStudy
-	RenderServeShed         = experiments.RenderShedStudy
-)
-
-// Tiered-KV study: the capacity/TTFT frontier of DRAM/flash KV offload
-// plus prefix caching vs recompute preemption under multi-turn session
-// traffic (serve-kvtier catalogue entry).
-type ServeKVTierStudyPoint = experiments.KVTierStudyPoint
-
-var (
-	ServeKVTierStudy       = experiments.KVTierStudy
-	ServeKVTierStudyResult = experiments.KVTierStudyResult
-	RenderServeKVTier      = experiments.RenderKVTierStudy
+	// ServeFleetConfig1000 is the 1000-instance deployment the
+	// serve-fleet experiment runs, and ServeFleetWorkload its
+	// chat-shaped Poisson traffic at a given rate.
+	ServeFleetConfig1000 = experiments.FleetConfig
+	ServeFleetWorkload   = experiments.FleetWorkload
 )
 
 // Observability: deterministic request-lifecycle tracing and sampled
@@ -530,17 +336,12 @@ var (
 // deterministic: identical runs emit identical bytes for any worker
 // count and for pooled vs fresh engines.
 type (
-	// ServeTracer is the lifecycle hook interface the engine drives;
-	// ServeTraceRecorder is the standard implementation (Chrome
-	// trace_event JSON via WriteJSON — load in Perfetto — plus
-	// per-request phase breakdowns).
-	ServeTracer        = obs.Tracer
+	// ServeTraceRecorder records Chrome trace_event JSON via WriteJSON
+	// (load in Perfetto) plus per-request phase breakdowns.
 	ServeTraceRecorder = obs.TraceRecorder
-	// ServePhase / ServeTraceMark name the lifecycle phases (queue,
-	// prefill, transfer, reload, decode, backoff) and instant events
-	// (arrival, shed, preempt, offload, orphan, retry, ...).
-	ServePhase     = obs.Phase
-	ServeTraceMark = obs.Mark
+	// ServePhase names a lifecycle phase (queue, prefill, transfer,
+	// reload, decode, backoff).
+	ServePhase = obs.Phase
 	// ServeReqBreakdown is one resolved request's per-phase time split;
 	// the phase durations tile [arrival, done] exactly.
 	ServeReqBreakdown = obs.ReqBreakdown
@@ -567,27 +368,38 @@ const (
 var (
 	NewServeTraceRecorder   = obs.NewTraceRecorder
 	NewServeMetricsRegistry = obs.NewRegistry
-	// ServeTraceStudy runs the tiered+faulted reference configuration
-	// with tracing and metrics attached (serve-trace catalogue entry).
-	ServeTraceStudy       = experiments.TraceStudy
-	ServeTraceStudyResult = experiments.TraceStudyResult
-	RenderServeTrace      = experiments.RenderTraceStudy
-	// ServeFleetStudy runs the 1000-instance fleet under one million
-	// Poisson requests (serve-fleet entry);
-	// ServeFleetConfig1000 is the deployment it runs.
-	ServeFleetStudy       = experiments.FleetStudy
-	ServeFleetStudyResult = experiments.FleetStudyResult
-	RenderServeFleet      = experiments.RenderFleetStudy
-	ServeFleetConfig1000  = experiments.FleetConfig
-	ServeFleetWorkload    = experiments.FleetWorkload
-	// ServeHazardStudy replays a composed plane-degradation + SDC
-	// incident per router with detection off vs on (serve-hazard entry);
-	// ServeHedgeStudy races hedging policies against a permanent gray
-	// straggler (serve-hedge entry).
-	ServeHazardStudy       = experiments.HazardStudy
-	ServeHazardStudyResult = experiments.HazardStudyResult
-	RenderServeHazard      = experiments.RenderHazardStudy
-	ServeHedgeStudy        = experiments.HedgeStudy
-	ServeHedgeStudyResult  = experiments.HedgeStudyResult
-	RenderServeHedge       = experiments.RenderHedgeStudy
+)
+
+// Training (Table 4).
+type (
+	PipelineCosts  = pipeline.Costs
+	PipelineResult = pipeline.Result
+)
+
+var (
+	TrainingConfig   = trainsim.V3Config
+	SimulatePipeline = pipeline.Simulate
+)
+
+// Experiment runners: the typed rows behind the catalogue entries of
+// every table and figure.
+var (
+	Table1               = experiments.Table1
+	Table2               = experiments.Table2
+	Table3               = experiments.Table3
+	Table4               = experiments.Table4
+	Figure5              = experiments.Figure5
+	Figure6              = experiments.Figure6
+	Figure7              = experiments.Figure7
+	Figure8              = experiments.Figure8
+	InferenceLimits      = experiments.InferenceLimits
+	MTPSpeedup           = experiments.MTPSpeedup
+	LocalDeployment      = experiments.LocalDeployment
+	FP8Accuracy          = experiments.FP8Accuracy
+	AccumulationAblation = experiments.AccumulationAblation
+	LogFMTAccuracy       = experiments.LogFMTAccuracy
+	NodeLimitedRouting   = experiments.NodeLimitedRouting
+	PlaneFailure         = experiments.PlaneFailure
+	DefaultFigure5Sizes  = experiments.DefaultFigure5Sizes
+	DefaultFigure6Sizes  = experiments.DefaultFigure6Sizes
 )

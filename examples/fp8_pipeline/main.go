@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dsv3"
 	"dsv3/internal/stats"
@@ -28,13 +29,17 @@ func main() {
 	relBF16, _ := stats.RMSRelativeError(bf16.Data, ref.Data)
 	fmt.Printf("GEMM (16x1024x16) RMS relative error: FP8 recipe %.2e, BF16 %.2e\n\n", relFP8, relBF16)
 
-	if out, err := dsv3.RenderAccumulation(13); err == nil {
-		fmt.Println(out)
-	}
-	if out, err := dsv3.RenderLogFMT(17); err == nil {
-		fmt.Println(out)
-	}
-	if out, err := dsv3.RenderFP8Accuracy(); err == nil {
-		fmt.Println(out)
+	// The accumulation ablation, LogFMT accuracy and toy-training
+	// validation tables, from the experiment catalogue.
+	for _, name := range []string{"accum", "logfmt", "fp8"} {
+		e, ok := dsv3.FindExperiment(name)
+		if !ok {
+			log.Fatalf("unknown experiment %q", name)
+		}
+		res, err := e.Run(dsv3.RunOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(res.Text())
 	}
 }

@@ -6,12 +6,22 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dsv3"
 )
 
 func main() {
-	fmt.Println(dsv3.RenderTable1())
+	const experiment = "table1"
+	e, ok := dsv3.FindExperiment(experiment)
+	if !ok {
+		log.Fatalf("unknown experiment %q", experiment)
+	}
+	res, err := e.Run(dsv3.RunOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res.Text())
 
 	// How many 32k-context conversations fit in 64 GiB of KV budget?
 	const ctx = 32768

@@ -5,15 +5,23 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dsv3"
 	"dsv3/internal/moe"
 )
 
 func main() {
-	if out, err := dsv3.RenderNodeLimited(19); err == nil {
-		fmt.Println(out)
+	const experiment = "nodelimit"
+	e, ok := dsv3.FindExperiment(experiment)
+	if !ok {
+		log.Fatalf("unknown experiment %q", experiment)
 	}
+	res, err := e.Run(dsv3.RunOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res.Text())
 
 	// Extension: sweep the group limit from 1 to 8.
 	place := moe.Placement{Experts: 256, Nodes: 8, GPUsPerNode: 8}

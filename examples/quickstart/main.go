@@ -4,6 +4,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dsv3"
 )
@@ -35,6 +36,15 @@ func main() {
 	}
 	fmt.Printf("32-GPU all-to-all, 1 GiB/rank: %.2f GB/s algorithm bandwidth\n\n", res.AlgBW/1e9)
 
-	// 4. Experiment runners: regenerate a paper table.
-	fmt.Println(dsv3.RenderTable1())
+	// 4. Experiment catalogue: regenerate a paper table by name.
+	const experiment = "table1"
+	e, ok := dsv3.FindExperiment(experiment)
+	if !ok {
+		log.Fatalf("unknown experiment %q", experiment)
+	}
+	table1, err := e.Run(dsv3.RunOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(table1.Text())
 }

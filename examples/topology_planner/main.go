@@ -5,16 +5,22 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dsv3"
 )
 
 func main() {
-	out, err := dsv3.RenderTable3()
-	if err != nil {
-		panic(err)
+	const experiment = "table3"
+	e, ok := dsv3.FindExperiment(experiment)
+	if !ok {
+		log.Fatalf("unknown experiment %q", experiment)
 	}
-	fmt.Println(out)
+	res, err := e.Run(dsv3.RunOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res.Text())
 
 	m := dsv3.DefaultCostModel()
 	const target = 10000 // endpoints needed

@@ -9,16 +9,16 @@ import (
 	"dsv3/internal/units"
 )
 
-// RouterShootout compares the pluggable routing policies at a fixed
-// arrival rate on a KV-constrained reference fleet. Every arm runs the
-// identical traffic (same seed), so the only independent variable is
-// the policy applied to prefill dispatch and the prefill->decode
-// hand-off.
-func RouterShootout(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+// RouterShootoutResult compares the pluggable routing policies at a
+// fixed arrival rate on a KV-constrained reference fleet. Every arm
+// runs the identical traffic (same seed), so the only independent
+// variable is the policy applied to prefill dispatch and the
+// prefill->decode hand-off.
+func RouterShootoutResult(seed int64, quick bool) (*results.Table, error) {
 	arms := servesim.RouterPolicies()
 	w := servingWorkload(quick)
 	w.RatePerSec = 7
-	return parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
+	pts, err := parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
@@ -29,16 +29,9 @@ func RouterShootout(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		}
 		return servesim.SweepPoint{RatePerSec: w.RatePerSec, Report: rep}, nil
 	})
-}
-
-// RouterShootoutResult returns the policy shoot-out as a structured
-// table.
-func RouterShootoutResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := RouterShootout(seed, quick)
 	if err != nil {
 		return nil, err
 	}
-	arms := servesim.RouterPolicies()
 	t := results.NewTable("Serving: router policy shoot-out (2P+4D, 7 req/s, 0.4 GB KV/instance, identical traffic per arm)",
 		results.C("Router"), results.CU("TTFT p50", "ms"), results.CU("TTFT p99", "ms"),
 		results.CU("TPOT p50", "ms"), results.CU("TPOT p99", "ms"),
@@ -86,21 +79,14 @@ func capacityArms(quick bool) []capacityArm {
 	return arms
 }
 
-// CapacityStudyPoint is one arm's capacity-search outcome.
-type CapacityStudyPoint struct {
-	Fleet  string
-	Policy servesim.RouterPolicy
-	Result *servesim.CapacityResult
-}
-
-// CapacityStudy bisects each (fleet shape, router) arm to its maximum
-// sustainable Poisson rate at 90% SLO attainment — the goodput knee
-// the paper's disaggregated deployment is sized against. Arms fan out
-// over the worker pool; each planner runs sequentially inside its arm
-// with a seed derived per fleet shape, so the knees are byte-identical
-// for any worker count and the two routers on a shape see identical
-// traffic.
-func CapacityStudy(seed int64, quick bool) ([]CapacityStudyPoint, error) {
+// CapacityStudyResult bisects each (fleet shape, router) arm to its
+// maximum sustainable Poisson rate at 90% SLO attainment — the goodput
+// knee the paper's disaggregated deployment is sized against. Arms fan
+// out over the worker pool; each planner runs sequentially inside its
+// arm with a seed derived per fleet shape, so the knees are
+// byte-identical for any worker count and the two routers on a shape
+// see identical traffic.
+func CapacityStudyResult(seed int64, quick bool) (*results.Table, error) {
 	arms := capacityArms(quick)
 	w := servingWorkload(quick)
 	w.Requests = 250
@@ -111,7 +97,7 @@ func CapacityStudy(seed int64, quick bool) ([]CapacityStudyPoint, error) {
 	if quick {
 		planner.Tolerance = 0.08
 	}
-	return parallel.Map(len(arms), func(i int) (CapacityStudyPoint, error) {
+	knees, err := parallel.Map(len(arms), func(i int) (*servesim.CapacityResult, error) {
 		a := arms[i]
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = parallel.DeriveSeed(seed, a.shape)
@@ -120,15 +106,10 @@ func CapacityStudy(seed int64, quick bool) ([]CapacityStudyPoint, error) {
 		cfg.Fleet.Router = a.Policy
 		res, err := planner.Find(cfg, w)
 		if err != nil {
-			return CapacityStudyPoint{}, fmt.Errorf("%s %s: %w", a.Fleet, a.Policy, err)
+			return nil, fmt.Errorf("%s %s: %w", a.Fleet, a.Policy, err)
 		}
-		return CapacityStudyPoint{Fleet: a.Fleet, Policy: a.Policy, Result: res}, nil
+		return res, nil
 	})
-}
-
-// CapacityStudyResult returns the capacity study as a structured table.
-func CapacityStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := CapacityStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -136,32 +117,14 @@ func CapacityStudyResult(seed int64, quick bool) (*results.Table, error) {
 		results.C("Fleet"), results.C("Router"), results.CU("Knee", "req/s"),
 		results.CU("SLO@knee", "%"), results.CU("Goodput", "req/s"),
 		results.CU("TTFT p99", "ms"), results.CU("TPOT p99", "ms"), results.C("Preempt"), results.C("Probes"))
-	for _, p := range pts {
-		r := p.Result.Report
-		t.Row(results.Str(p.Fleet), results.Str(p.Policy.String()),
-			results.Float("%.2f", p.Result.MaxRate),
-			results.Float("%.1f%%", p.Result.Attainment*100),
+	for i, k := range knees {
+		r := k.Report
+		t.Row(results.Str(arms[i].Fleet), results.Str(arms[i].Policy.String()),
+			results.Float("%.2f", k.MaxRate),
+			results.Float("%.1f%%", k.Attainment*100),
 			results.Float("%.2f", r.GoodputRPS),
 			results.Float("%.0f", r.TTFT.P99*1e3), results.Float("%.2f", r.TPOT.P99*1e3),
-			results.Int(r.Preemptions), results.Int(len(p.Result.Probes)))
+			results.Int(r.Preemptions), results.Int(len(k.Probes)))
 	}
 	return t, nil
-}
-
-// RenderRouterShootout renders the policy shoot-out.
-func RenderRouterShootout(seed int64, quick bool) (string, error) {
-	t, err := RouterShootoutResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderCapacityStudy renders the capacity study.
-func RenderCapacityStudy(seed int64, quick bool) (string, error) {
-	t, err := CapacityStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

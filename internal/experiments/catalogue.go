@@ -177,16 +177,6 @@ func Catalogue() []Runner {
 	}
 }
 
-// Names returns the catalogue's experiment names in order.
-func Names() []string {
-	cat := Catalogue()
-	names := make([]string, len(cat))
-	for i, r := range cat {
-		names[i] = r.Name
-	}
-	return names
-}
-
 // Find resolves a case-insensitive experiment name.
 func Find(name string) (Runner, bool) {
 	for _, r := range Catalogue() {
@@ -200,7 +190,11 @@ func Find(name string) (Runner, bool) {
 // SuggestNames returns the catalogue names sorted alphabetically — the
 // list the CLI prints when -run names an unknown experiment.
 func SuggestNames() []string {
-	names := Names()
+	cat := Catalogue()
+	names := make([]string, len(cat))
+	for i, r := range cat {
+		names[i] = r.Name
+	}
 	sort.Strings(names)
 	return names
 }

@@ -1,11 +1,14 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation, plus the in-text analyses (§2.2.2, §2.3.2,
 // §2.3.3, §2.4, §3.2, §4.3) and the extension ablations listed in
-// DESIGN.md. Each runner returns structured rows AND a rendered table
-// with the paper's reference values beside the measured ones, so the
-// CLI and the tests share one source of truth. Sweep-shaped runners
-// fan out over internal/parallel with bit-identical serial/parallel
-// output (see the parity tests).
+// DESIGN.md. A runner returns typed rows; its …Result builder turns
+// them into a results.Table with the paper's reference values beside
+// the measured ones (the serving studies' builders run their
+// simulations themselves). Catalogue() wraps every builder as a named
+// Runner producing a results.Result, the one path through which the
+// CLI, the facade and the golden corpus render an experiment.
+// Sweep-shaped runners fan out over internal/parallel with
+// bit-identical serial/parallel output (see the parity tests).
 package experiments
 
 import (
@@ -61,9 +64,6 @@ func Table1Result() *results.Table {
 	return t
 }
 
-// RenderTable1 renders Table 1 with paper references.
-func RenderTable1() string { return Table1Result().Text() }
-
 // Table2Row is one model's training cost.
 type Table2Row struct {
 	Model          string
@@ -107,9 +107,6 @@ func Table2Result() *results.Table {
 	}
 	return t
 }
-
-// RenderTable2 renders Table 2 with paper references.
-func RenderTable2() string { return Table2Result().Text() }
 
 // Table3Row is one topology's cost breakdown.
 type Table3Row struct {
@@ -170,15 +167,6 @@ func Table3Result() (*results.Table, error) {
 	return t, nil
 }
 
-// RenderTable3 renders Table 3 with paper references.
-func RenderTable3() (string, error) {
-	t, err := Table3Result()
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
 // LocalDeploymentRow is one §2.2.2 scenario.
 type LocalDeploymentRow struct {
 	Deployment string
@@ -207,6 +195,3 @@ func LocalDeploymentResult() *results.Table {
 	}
 	return t
 }
-
-// RenderLocalDeployment renders the §2.2.2 scenario table.
-func RenderLocalDeployment() string { return LocalDeploymentResult().Text() }

@@ -7,7 +7,7 @@ import (
 	"dsv3/internal/units"
 )
 
-// failurePlan is the incident replayed by FailureStudy: decode
+// failurePlan is the incident replayed by serve-failure: decode
 // instance 1 crashes mid-run and is repaired 8 seconds later. The
 // window is short enough that even the quick workload (150 requests at
 // 5 req/s, ~30 s of traffic) sees both the degraded epoch and the
@@ -21,18 +21,18 @@ func failurePlan() *servesim.FaultPlan {
 	}
 }
 
-// FailureStudy replays the same kill-an-instance incident across every
-// router policy: identical traffic per arm (same seed), a decode crash
-// at t=6s with repair at t=14s, and the default retry policy. The
-// routers differ in how much work they concentrate on the doomed
+// FailureStudyResult replays the same kill-an-instance incident across
+// every router policy: identical traffic per arm (same seed), a decode
+// crash at t=6s with repair at t=14s, and the default retry policy.
+// The routers differ in how much work they concentrate on the doomed
 // instance, so blast radius, retry amplification and recovery time all
 // vary by policy — the incident-replay view of the paper's
 // availability-under-component-failure concern.
-func FailureStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+func FailureStudyResult(seed int64, quick bool) (*results.Table, error) {
 	arms := servesim.RouterPolicies()
 	w := servingWorkload(quick)
 	w.RatePerSec = 5
-	return parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
+	pts, err := parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
@@ -45,15 +45,9 @@ func FailureStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		}
 		return servesim.SweepPoint{RatePerSec: w.RatePerSec, Report: rep}, nil
 	})
-}
-
-// FailureStudyResult returns the incident replay as a structured table.
-func FailureStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := FailureStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
-	arms := servesim.RouterPolicies()
 	t := results.NewTable("Serving: kill-an-instance incident replay per router (2P+4D, 5 req/s, d1 down 6-14s, retries 3x backoff 0.25s)",
 		results.C("Router"), results.C("Affected"), results.C("Failed"),
 		results.C("Retry amp"), results.CU("KV lost", "tok"), results.CU("Recovery", "s"),
@@ -89,20 +83,20 @@ func shedArms() []shedArm {
 	}
 }
 
-// ShedStudy pits admission policies against a diurnal overload ramp:
-// mean 8 req/s swinging +-90% over the cycle, so the peak (~15 req/s)
-// is far past the KV-constrained fleet's knee. Admit-all lets queues
-// and TTFT collapse for everyone; the shedding policies trade a known
-// fraction of rejected requests for bounded latency on the admitted
-// ones — graceful degradation instead of congestion collapse.
-func ShedStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+// ShedStudyResult pits admission policies against a diurnal overload
+// ramp: mean 8 req/s swinging +-90% over the cycle, so the peak (~15
+// req/s) is far past the KV-constrained fleet's knee. Admit-all lets
+// queues and TTFT collapse for everyone; the shedding policies trade a
+// known fraction of rejected requests for bounded latency on the
+// admitted ones — graceful degradation instead of congestion collapse.
+func ShedStudyResult(seed int64, quick bool) (*results.Table, error) {
 	arms := shedArms()
 	w := servingWorkload(quick)
 	w.Arrival = servesim.ArrivalDiurnal
 	w.RatePerSec = 8
 	w.DiurnalPeriod = 24
 	w.DiurnalAmplitude = 0.9
-	return parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
+	pts, err := parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
@@ -113,16 +107,9 @@ func ShedStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		}
 		return servesim.SweepPoint{RatePerSec: w.RatePerSec, Report: rep}, nil
 	})
-}
-
-// ShedStudyResult returns the admission shoot-out as a structured
-// table.
-func ShedStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := ShedStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
-	arms := shedArms()
 	t := results.NewTable("Serving: admission policy shoot-out under diurnal overload (2P+4D, mean 8 req/s +-90%, 0.4 GB KV/instance)",
 		results.C("Admission"), results.C("Shed"), results.CU("Shed", "%"),
 		results.CU("TTFT p50", "ms"), results.CU("TTFT p99", "ms"),
@@ -141,22 +128,4 @@ func ShedStudyResult(seed int64, quick bool) (*results.Table, error) {
 			results.Int(r.Preemptions), results.Float("%.1f%%", r.PeakKVOccupancy*100))
 	}
 	return t, nil
-}
-
-// RenderFailureStudy renders the incident replay.
-func RenderFailureStudy(seed int64, quick bool) (string, error) {
-	t, err := FailureStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderShedStudy renders the admission shoot-out.
-func RenderShedStudy(seed int64, quick bool) (string, error) {
-	t, err := ShedStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

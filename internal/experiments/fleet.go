@@ -35,56 +35,33 @@ func FleetWorkload(rate float64) servesim.Workload {
 	}
 }
 
-// FleetStudy runs the 1000-instance deployment under one million
+// FleetStudyResult runs the 1000-instance deployment under one million
 // Poisson requests per arrival rate, on the serial event loop whose
 // per-event cost does not grow with fleet width. Quick mode runs the
 // single reference rate; the full study adds a heavier point near the
 // prefill-capacity knee.
-func FleetStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+func FleetStudyResult(seed int64, quick bool) (*results.Table, error) {
 	rates := []float64{11000, 12500}
 	if quick {
 		rates = rates[:1]
 	}
 	cfg := FleetConfig(seed)
-	pts := make([]servesim.SweepPoint, 0, len(rates))
-	for _, rate := range rates {
-		rep, err := servesim.Run(cfg, FleetWorkload(rate))
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, servesim.SweepPoint{RatePerSec: rate, Report: rep})
-	}
-	return pts, nil
-}
-
-// FleetStudyResult returns the fleet study as a structured table.
-func FleetStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := FleetStudy(seed, quick)
-	if err != nil {
-		return nil, err
-	}
 	t := results.NewTable("Serving: 1000-instance fleet (600 prefill + 400 decode) under 1M Poisson requests",
 		results.CU("Rate", "req/s"), results.C("Completed"),
 		results.CU("TTFT p50", "ms"), results.CU("TTFT p99", "ms"),
 		results.CU("TPOT p50", "ms"), results.CU("TPOT p99", "ms"),
 		results.CU("Goodput", "req/s"), results.CU("SLO", "%"),
 		results.C("Batch"), results.CU("KV peak", "%"))
-	for _, p := range pts {
-		r := p.Report
-		t.Row(results.Float("%.0f", p.RatePerSec), results.Int(r.Completed),
+	for _, rate := range rates {
+		r, err := servesim.Run(cfg, FleetWorkload(rate))
+		if err != nil {
+			return nil, err
+		}
+		t.Row(results.Float("%.0f", rate), results.Int(r.Completed),
 			results.Float("%.0f", r.TTFT.P50*1e3), results.Float("%.0f", r.TTFT.P99*1e3),
 			results.Float("%.2f", r.TPOT.P50*1e3), results.Float("%.2f", r.TPOT.P99*1e3),
 			results.Float("%.1f", r.GoodputRPS), results.Float("%.1f%%", r.SLOAttainment*100),
 			results.Float("%.1f", r.MeanBatch), results.Float("%.1f%%", r.PeakKVOccupancy*100))
 	}
 	return t, nil
-}
-
-// RenderFleetStudy renders the fleet study.
-func RenderFleetStudy(seed int64, quick bool) (string, error) {
-	t, err := FleetStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

@@ -7,7 +7,7 @@ import (
 	"dsv3/internal/units"
 )
 
-// hazardPlanes is the composed incident replayed by HazardStudy: decode
+// hazardPlanes is the composed incident replayed by serve-hazard: decode
 // instance 1 loses 6 of its 8 network planes at t=4s and gets them back
 // at t=16s. Unlike a crash, the instance keeps serving — its EP
 // all-to-all legs just run at 4x the latency, the gray-failure mode
@@ -35,20 +35,20 @@ func hazardArms() []hazardArm {
 	return arms
 }
 
-// HazardStudy replays the same composed incident — a plane-degraded
-// decode instance plus a 0.1% silent-corruption rate on decode steps —
-// across every router policy, with and without the detection stack
-// (Freivalds verification + EWMA gray-failure draining). Without
-// detection, corrupted steps taint every request in the batch and the
-// degraded straggler keeps taking traffic; with it, verification
-// converts corruption into retryable quarantines and the EWMA detector
-// drains the straggler, trading a little verify latency and some
-// retries for clean responses.
-func HazardStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+// HazardStudyResult replays the same composed incident — a
+// plane-degraded decode instance plus a 0.1% silent-corruption rate on
+// decode steps — across every router policy, with and without the
+// detection stack (Freivalds verification + EWMA gray-failure
+// draining). Without detection, corrupted steps taint every request in
+// the batch and the degraded straggler keeps taking traffic; with it,
+// verification converts corruption into retryable quarantines and the
+// EWMA detector drains the straggler, trading a little verify latency
+// and some retries for clean responses.
+func HazardStudyResult(seed int64, quick bool) (*results.Table, error) {
 	arms := hazardArms()
 	w := servingWorkload(quick)
 	w.RatePerSec = 5
-	return parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
+	pts, err := parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
@@ -70,16 +70,9 @@ func HazardStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		}
 		return servesim.SweepPoint{RatePerSec: w.RatePerSec, Report: rep}, nil
 	})
-}
-
-// HazardStudyResult returns the composed-hazard grid as a structured
-// table.
-func HazardStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := HazardStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
-	arms := hazardArms()
 	t := results.NewTable("Serving: plane degradation + SDC per router, detection off vs on (2P+4D, 5 req/s, d1 at 2/8 planes 4-16s, 0.1% SDC)",
 		results.C("Router"), results.C("Detect"),
 		results.C("SDC steps"), results.C("Caught"), results.C("Corrupt resp"),
@@ -128,18 +121,19 @@ func hedgeArms() []hedgeArm {
 	}
 }
 
-// HedgeStudy pits hedging policies against a permanent gray straggler:
-// decode instance 1 loses 7 of 8 planes at t=2s and never heals, so
-// every EP all-to-all leg there runs at 8x latency for the whole run. Hedging fires a speculative duplicate to a different
+// HedgeStudyResult pits hedging policies against a permanent gray
+// straggler: decode instance 1 loses 7 of 8 planes at t=2s and never
+// heals, so every EP all-to-all leg there runs at 8x latency for the
+// whole run. Hedging fires a speculative duplicate to a different
 // instance after the delay; first finisher wins, the loser is
 // cancelled and its generated tokens charged as waste. Tighter delays
 // buy more tail latency for more duplicated work — the classic
 // tail-at-scale trade, measured here without any detection stack.
-func HedgeStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+func HedgeStudyResult(seed int64, quick bool) (*results.Table, error) {
 	arms := hedgeArms()
 	w := servingWorkload(quick)
 	w.RatePerSec = 4
-	return parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
+	pts, err := parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
@@ -156,15 +150,9 @@ func HedgeStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		}
 		return servesim.SweepPoint{RatePerSec: w.RatePerSec, Report: rep}, nil
 	})
-}
-
-// HedgeStudyResult returns the hedging shoot-out as a structured table.
-func HedgeStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := HedgeStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
-	arms := hedgeArms()
 	t := results.NewTable("Serving: hedged requests vs a permanent gray straggler (2P+4D, 4 req/s, d1 at 1/8 planes from t=2s)",
 		results.C("Policy"), results.CU("E2E p50", "s"), results.CU("E2E p95", "s"),
 		results.CU("E2E p99", "s"), results.CU("Goodput", "req/s"),
@@ -179,22 +167,4 @@ func HedgeStudyResult(seed int64, quick bool) (*results.Table, error) {
 			results.Float("%.1f%%", r.SLOAttainment*100))
 	}
 	return t, nil
-}
-
-// RenderHazardStudy renders the composed-hazard grid.
-func RenderHazardStudy(seed int64, quick bool) (string, error) {
-	t, err := HazardStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderHedgeStudy renders the hedging shoot-out.
-func RenderHedgeStudy(seed int64, quick bool) (string, error) {
-	t, err := HedgeStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

@@ -64,29 +64,22 @@ func kvTierWorkload(quick bool) servesim.Workload {
 	return w
 }
 
-// KVTierStudyPoint is one arm's capacity-search outcome.
-type KVTierStudyPoint struct {
-	Arm         string
-	ChunkTokens int
-	Result      *servesim.CapacityResult
-}
-
-// KVTierStudy bisects each KV-hierarchy arm to its maximum sustainable
-// session rate at 90% SLO attainment under multi-turn traffic on an
-// HBM-starved fleet. The HBM-only baseline relieves KV pressure by
-// recompute preemption; the tiered arms offload cold contexts to
-// DRAM/flash and reload them, and cache each session's grown prefix so
-// later turns skip the cached prefill — the capacity/TTFT frontier vs
-// chunk size the ROADMAP's LMCache-style sweep asks for. Every arm
-// runs the same seed, so the offered sessions are identical.
-func KVTierStudy(seed int64, quick bool) ([]KVTierStudyPoint, error) {
+// KVTierStudyResult bisects each KV-hierarchy arm to its maximum
+// sustainable session rate at 90% SLO attainment under multi-turn
+// traffic on an HBM-starved fleet. The HBM-only baseline relieves KV
+// pressure by recompute preemption; the tiered arms offload cold
+// contexts to DRAM/flash and reload them, and cache each session's
+// grown prefix so later turns skip the cached prefill — the
+// capacity/TTFT frontier vs chunk size. Every arm runs the same seed,
+// so the offered sessions are identical.
+func KVTierStudyResult(seed int64, quick bool) (*results.Table, error) {
 	arms := kvTierArms()
 	w := kvTierWorkload(quick)
 	planner := servesim.DefaultCapacityPlanner()
 	if quick {
 		planner.Tolerance = 0.08
 	}
-	return parallel.Map(len(arms), func(i int) (KVTierStudyPoint, error) {
+	knees, err := parallel.Map(len(arms), func(i int) (*servesim.CapacityResult, error) {
 		a := arms[i]
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = seed
@@ -101,16 +94,10 @@ func KVTierStudy(seed int64, quick bool) ([]KVTierStudyPoint, error) {
 		cfg.KV.PrefixCache = a.PrefixCache
 		res, err := planner.Find(cfg, w)
 		if err != nil {
-			return KVTierStudyPoint{}, fmt.Errorf("%s chunk=%d: %w", a.Name, a.ChunkTokens, err)
+			return nil, fmt.Errorf("%s chunk=%d: %w", a.Name, a.ChunkTokens, err)
 		}
-		return KVTierStudyPoint{Arm: a.Name, ChunkTokens: a.ChunkTokens, Result: res}, nil
+		return res, nil
 	})
-}
-
-// KVTierStudyResult returns the tiered-KV frontier as a structured
-// table.
-func KVTierStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := KVTierStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -119,11 +106,11 @@ func KVTierStudyResult(seed int64, quick bool) (*results.Table, error) {
 		results.CU("SLO@knee", "%"), results.CU("TTFT p99", "ms"),
 		results.CU("Hit rate", "%"), results.CU("Reload stall", "s"),
 		results.C("Offloads"), results.C("Preempt"), results.CU("HBM out", "GB"))
-	for _, p := range pts {
-		r := p.Result.Report
+	for i, k := range knees {
+		a, r := arms[i], k.Report
 		chunk := results.NA()
-		if p.ChunkTokens > 0 {
-			chunk = results.Int(p.ChunkTokens)
+		if a.ChunkTokens > 0 {
+			chunk = results.Int(a.ChunkTokens)
 		}
 		hitRate := results.NA()
 		if lookups := r.PrefixHits + r.PrefixMisses; lookups > 0 {
@@ -133,9 +120,9 @@ func KVTierStudyResult(seed int64, quick bool) (*results.Table, error) {
 		if len(r.KVTierMoves) > 0 {
 			offloaded = results.Float("%.2f", r.KVTierMoves[0].BytesOut/units.GB)
 		}
-		t.Row(results.Str(p.Arm), chunk,
-			results.Float("%.2f", p.Result.MaxRate),
-			results.Float("%.1f%%", p.Result.Attainment*100),
+		t.Row(results.Str(a.Name), chunk,
+			results.Float("%.2f", k.MaxRate),
+			results.Float("%.1f%%", k.Attainment*100),
 			results.Float("%.0f", r.TTFT.P99*1e3),
 			hitRate,
 			results.Float("%.2f", r.ReloadStall),
@@ -143,13 +130,4 @@ func KVTierStudyResult(seed int64, quick bool) (*results.Table, error) {
 			offloaded)
 	}
 	return t, nil
-}
-
-// RenderKVTierStudy renders the tiered-KV frontier.
-func RenderKVTierStudy(seed int64, quick bool) (string, error) {
-	t, err := KVTierStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

@@ -39,60 +39,53 @@ func assertParity(t *testing.T, f func() (string, error)) {
 	}
 }
 
+// TestParallelSerialParity renders runners at 1 and 8 workers. The
+// figure5, figure6 and planefail cases use inputs the catalogue does
+// not run; the rest render quick catalogue entries.
 func TestParallelSerialParity(t *testing.T) {
-	cases := []struct {
+	type parityCase struct {
 		name string
 		f    func() (string, error)
-	}{
+	}
+	cases := []parityCase{
 		{"figure5", func() (string, error) {
 			pts, err := Figure5([]int{16, 32}, []units.Bytes{128 * units.MiB, 1 * units.GiB})
 			if err != nil {
 				return "", err
 			}
-			return RenderFigure5(pts), nil
+			return Figure5Result(pts).Text(), nil
 		}},
 		{"figure6", func() (string, error) {
 			pts, err := Figure6([]units.Bytes{64, 16 * units.MiB, 1 * units.GiB})
 			if err != nil {
 				return "", err
 			}
-			return RenderFigure6(pts), nil
-		}},
-		{"figure7", func() (string, error) {
-			pts, err := Figure7()
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure7(pts), nil
-		}},
-		{"figure8", func() (string, error) {
-			pts, err := Figure8()
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure8(pts), nil
+			return Figure6Result(pts).Text(), nil
 		}},
 		{"planefail", func() (string, error) {
 			rows, err := PlaneFailure([]int{0, 2})
 			if err != nil {
 				return "", err
 			}
-			return RenderPlaneFailure(rows), nil
+			return PlaneFailureResult(rows).Text(), nil
 		}},
-		{"table4", RenderTable4},
-		{"fp8", RenderFP8Accuracy},
-		{"serve", func() (string, error) { return RenderServeLoadSweep(SeedServe, true) }},
-		{"serve-disagg", func() (string, error) { return RenderDisaggRatioStudy(SeedServeDisagg, true) }},
-		{"serve-spec", func() (string, error) { return RenderSpeculativeServing(SeedServeSpec, true) }},
-		{"serve-router", func() (string, error) { return RenderRouterShootout(SeedServeRouter, true) }},
-		{"serve-capacity", func() (string, error) { return RenderCapacityStudy(SeedServeCapacity, true) }},
-		{"serve-failure", func() (string, error) { return RenderFailureStudy(SeedServeFailure, true) }},
-		{"serve-shed", func() (string, error) { return RenderShedStudy(SeedServeShed, true) }},
-		{"serve-kvtier", func() (string, error) { return RenderKVTierStudy(SeedServeKVTier, true) }},
-		{"serve-trace", func() (string, error) { return RenderTraceStudy(SeedServeTrace, true) }},
-		{"accum", func() (string, error) { return RenderAccumulationAblation(13) }},
-		{"logfmt", func() (string, error) { return RenderLogFMT(17) }},
-		{"nodelimit", func() (string, error) { return RenderNodeLimited(19) }},
+	}
+	for _, name := range []string{
+		"figure7", "figure8", "table4", "serve", "serve-disagg", "serve-spec",
+		"serve-router", "serve-capacity", "serve-failure", "serve-shed",
+		"serve-kvtier", "serve-trace", "accum", "logfmt", "nodelimit",
+	} {
+		r, ok := Find(name)
+		if !ok {
+			t.Fatalf("no catalogue entry %q", name)
+		}
+		cases = append(cases, parityCase{name, func() (string, error) {
+			res, err := r.Run(Options{Quick: true})
+			if err != nil {
+				return "", err
+			}
+			return res.Text(), nil
+		}})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { assertParity(t, c.f) })
@@ -102,8 +95,11 @@ func TestParallelSerialParity(t *testing.T) {
 // The determinism contract extends to every emitter: the structured
 // results (and hence the JSON and text encodings) of every catalogue
 // runner must be byte-identical between serial and parallel execution.
+// The serial result must also be well-formed: correctly labelled and
+// seeded, with at least one table and rectangular rows. (Byte-level
+// text fidelity is pinned by the .txt golden corpus.)
 func TestCatalogueEmitterParity(t *testing.T) {
-	emitJSON := func(t *testing.T, workers int, r Runner) []byte {
+	run := func(t *testing.T, workers int, r Runner) (*results.Result, []byte) {
 		t.Helper()
 		prev := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(prev)
@@ -115,45 +111,32 @@ func TestCatalogueEmitterParity(t *testing.T) {
 		if err := results.EmitJSON(&buf, res); err != nil {
 			t.Fatalf("%s: emit: %v", r.Name, err)
 		}
-		return buf.Bytes()
+		return res, buf.Bytes()
 	}
 	for _, r := range Catalogue() {
 		t.Run(r.Name, func(t *testing.T) {
-			serial := emitJSON(t, 1, r)
-			par := emitJSON(t, 8, r)
+			res, serial := run(t, 1, r)
+			_, par := run(t, 8, r)
 			if !bytes.Equal(serial, par) {
 				t.Errorf("parallel JSON differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
 			}
-		})
-	}
-}
-
-// Every catalogue result is well-formed: correctly labelled, at least
-// one table, and rectangular rows. (Byte-level text fidelity against
-// the pre-refactor rendering is pinned by the .txt golden corpus.)
-func TestCatalogueStructure(t *testing.T) {
-	for _, r := range Catalogue() {
-		res, err := r.Run(Options{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", r.Name, err)
-		}
-		if len(res.Tables) == 0 {
-			t.Fatalf("%s: no tables", r.Name)
-		}
-		if res.Experiment != r.Name {
-			t.Errorf("%s: result labelled %q", r.Name, res.Experiment)
-		}
-		if res.Meta.Seed != r.Seed {
-			t.Errorf("%s: result seed %d != catalogue seed %d", r.Name, res.Meta.Seed, r.Seed)
-		}
-		for ti, tab := range res.Tables {
-			for ri, row := range tab.Rows {
-				if len(row) != len(tab.Columns) {
-					t.Errorf("%s table %d row %d: %d cells for %d columns",
-						r.Name, ti, ri, len(row), len(tab.Columns))
+			if res.Experiment != r.Name {
+				t.Errorf("result labelled %q", res.Experiment)
+			}
+			if res.Meta.Seed != r.Seed {
+				t.Errorf("result seed %d != catalogue seed %d", res.Meta.Seed, r.Seed)
+			}
+			if len(res.Tables) == 0 {
+				t.Fatal("no tables")
+			}
+			for ti, tab := range res.Tables {
+				for ri, row := range tab.Rows {
+					if len(row) != len(tab.Columns) {
+						t.Errorf("table %d row %d: %d cells for %d columns", ti, ri, len(row), len(tab.Columns))
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

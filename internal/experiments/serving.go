@@ -24,23 +24,18 @@ func servingWorkload(quick bool) servesim.Workload {
 	}
 }
 
-// ServeLoadSweep drives the reference disaggregated deployment
-// (2 prefill + 4 decode instances) across arrival rates and reports
+// ServeLoadSweepResult drives the reference disaggregated deployment
+// (2 prefill + 4 decode instances) across arrival rates and tabulates
 // request-level latency percentiles, goodput and KV pressure — the
 // "serving heavy traffic" view of the §2.3.2 decode analysis.
-func ServeLoadSweep(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+func ServeLoadSweepResult(seed int64, quick bool) (*results.Table, error) {
 	cfg := servesim.V3ServeConfig()
 	cfg.Seed = seed
 	rates := []float64{2, 4, 6, 8}
 	if quick {
 		rates = []float64{4, 8}
 	}
-	return servesim.RateSweep(cfg, servingWorkload(quick), rates)
-}
-
-// ServeLoadSweepResult returns the load sweep as a structured table.
-func ServeLoadSweepResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := ServeLoadSweep(seed, quick)
+	pts, err := servesim.RateSweep(cfg, servingWorkload(quick), rates)
 	if err != nil {
 		return nil, err
 	}
@@ -82,18 +77,18 @@ func disaggArms() []disaggArm {
 	}
 }
 
-// DisaggRatioStudy compares colocated continuous batching against
-// disaggregated prefill:decode splits at a high arrival rate on a
-// KV-constrained 8-instance cluster. Colocation must pick an
+// DisaggRatioStudyResult compares colocated continuous batching
+// against disaggregated prefill:decode splits at a high arrival rate on
+// a KV-constrained 8-instance cluster. Colocation must pick an
 // interference policy — aggressive prefill admission inflates TPOT,
 // decode-protective admission starves TTFT — while a balanced
 // disaggregated ratio protects both, which is the qualitative argument
 // for the paper's disaggregated production deployment.
-func DisaggRatioStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+func DisaggRatioStudyResult(seed int64, quick bool) (*results.Table, error) {
 	arms := disaggArms()
 	w := servingWorkload(quick)
 	w.RatePerSec = 12
-	return parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
+	pts, err := parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
 		a := arms[i]
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = parallel.DeriveSeed(seed, i)
@@ -109,15 +104,9 @@ func DisaggRatioStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		}
 		return servesim.SweepPoint{RatePerSec: w.RatePerSec, Report: rep}, nil
 	})
-}
-
-// DisaggRatioStudyResult returns the ratio study as a structured table.
-func DisaggRatioStudyResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := DisaggRatioStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
-	arms := disaggArms()
 	t := results.NewTable("Serving: prefill:decode disaggregation vs colocation (8 instances, 12 req/s, 2 GB KV/instance)",
 		results.C("Deployment"), results.CU("TTFT p50", "ms"), results.CU("TTFT p99", "ms"),
 		results.CU("TPOT p50", "ms"), results.CU("TPOT p99", "ms"),
@@ -148,14 +137,14 @@ func specArms() []specArm {
 	}
 }
 
-// SpeculativeServingStudy measures what §2.3.3's MTP acceptance rates
-// buy at the serving level: tokens per step, TPOT and goodput on the
-// reference deployment under fixed load.
-func SpeculativeServingStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
+// SpeculativeServingResult measures what §2.3.3's MTP acceptance
+// rates buy at the serving level: tokens per step, TPOT and goodput on
+// the reference deployment under fixed load.
+func SpeculativeServingResult(seed int64, quick bool) (*results.Table, error) {
 	arms := specArms()
 	w := servingWorkload(quick)
 	w.RatePerSec = 6
-	return parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
+	pts, err := parallel.Map(len(arms), func(i int) (servesim.SweepPoint, error) {
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = parallel.DeriveSeed(seed, i)
 		if arms[i].Acceptance > 0 {
@@ -169,15 +158,9 @@ func SpeculativeServingStudy(seed int64, quick bool) ([]servesim.SweepPoint, err
 		}
 		return servesim.SweepPoint{RatePerSec: w.RatePerSec, Report: rep}, nil
 	})
-}
-
-// SpeculativeServingResult returns the MTP study as a structured table.
-func SpeculativeServingResult(seed int64, quick bool) (*results.Table, error) {
-	pts, err := SpeculativeServingStudy(seed, quick)
 	if err != nil {
 		return nil, err
 	}
-	arms := specArms()
 	t := results.NewTable("Serving: MTP speculative decoding under load (2P+4D, 6 req/s; paper §2.3.3: 80-90% acceptance -> 1.8x)",
 		results.C("Config"), results.C("Tokens/step"), results.C("E[tokens/step]"),
 		results.CU("TPOT p50", "ms"), results.CU("TPOT p99", "ms"), results.CU("TTFT p99", "ms"),
@@ -197,31 +180,4 @@ func SpeculativeServingResult(seed int64, quick bool) (*results.Table, error) {
 			results.Float("%.2f", r.GoodputRPS), results.Float("%.1f%%", r.SLOAttainment*100))
 	}
 	return t, nil
-}
-
-// RenderServeLoadSweep renders the load sweep.
-func RenderServeLoadSweep(seed int64, quick bool) (string, error) {
-	t, err := ServeLoadSweepResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderDisaggRatioStudy renders the ratio study.
-func RenderDisaggRatioStudy(seed int64, quick bool) (string, error) {
-	t, err := DisaggRatioStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderSpeculativeServing renders the MTP serving study.
-func RenderSpeculativeServing(seed int64, quick bool) (string, error) {
-	t, err := SpeculativeServingResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

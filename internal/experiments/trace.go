@@ -28,29 +28,10 @@ func traceStudyConfig(seed int64) servesim.Config {
 	return cfg
 }
 
-// TraceStudyInterval is the metrics sampling cadence of the serve-trace
+// traceStudyInterval is the metrics sampling cadence of the serve-trace
 // experiment: coarse enough that the sampled table stays readable over
 // the ~30-75 s makespan.
-const TraceStudyInterval units.Seconds = 2
-
-// TraceStudy runs the reference deployment once with a trace recorder
-// and a metrics registry attached and returns both plus the run's
-// report. Unlike the sweep studies this is a single traced simulation:
-// the per-request lifecycle is the output, not a summary statistic.
-func TraceStudy(seed int64, quick bool) (*obs.TraceRecorder, *obs.Registry, *servesim.Report, error) {
-	cfg := traceStudyConfig(seed)
-	w := kvTierWorkload(quick)
-	eng := servesim.NewEngine()
-	rec := obs.NewTraceRecorder()
-	reg := obs.NewRegistry(TraceStudyInterval)
-	eng.AttachTracer(rec)
-	eng.AttachMetrics(reg)
-	rep, err := eng.Run(cfg, w)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return rec, reg, rep, nil
-}
+const traceStudyInterval units.Seconds = 2
 
 // eventCountResult tabulates a trace's (kind, name) event tallies.
 func eventCountResult(rec *obs.TraceRecorder) *results.Table {
@@ -62,12 +43,19 @@ func eventCountResult(rec *obs.TraceRecorder) *results.Table {
 	return t
 }
 
-// TraceStudyResult returns the traced run as structured tables: the
+// TraceStudyResult runs the reference deployment once with a trace
+// recorder and a metrics registry attached. Unlike the sweep studies
+// this is a single traced simulation: the per-request lifecycle is the
+// output, not a summary statistic. The tables are the
 // where-did-the-time-go phase totals, the per-request phase breakdown,
 // the trace event tallies, and the sampled time-series metrics.
 func TraceStudyResult(seed int64, quick bool) ([]*results.Table, error) {
-	rec, reg, _, err := TraceStudy(seed, quick)
-	if err != nil {
+	eng := servesim.NewEngine()
+	rec := obs.NewTraceRecorder()
+	reg := obs.NewRegistry(traceStudyInterval)
+	eng.AttachTracer(rec)
+	eng.AttachMetrics(reg)
+	if _, err := eng.Run(traceStudyConfig(seed), kvTierWorkload(quick)); err != nil {
 		return nil, err
 	}
 	return []*results.Table{
@@ -76,13 +64,4 @@ func TraceStudyResult(seed int64, quick bool) ([]*results.Table, error) {
 		eventCountResult(rec),
 		reg.Table(),
 	}, nil
-}
-
-// RenderTraceStudy renders the traced-run tables as text.
-func RenderTraceStudy(seed int64, quick bool) (string, error) {
-	tables, err := TraceStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return results.New("serve-trace", "deterministic lifecycle trace of the tiered+faulted reference run", tables...).Text(), nil
 }

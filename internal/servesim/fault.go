@@ -203,7 +203,7 @@ func (a AdmissionPolicy) Validate() error {
 	if a.MaxQueueDepth < 0 {
 		return fmt.Errorf("servesim: negative admission queue depth %d", a.MaxQueueDepth)
 	}
-	if a.MaxKVOccupancy < 0 || a.MaxKVOccupancy > 1 {
+	if !(a.MaxKVOccupancy >= 0 && a.MaxKVOccupancy <= 1) { // rejects NaN too
 		return fmt.Errorf("servesim: admission KV occupancy %v outside [0,1]", a.MaxKVOccupancy)
 	}
 	return nil
@@ -295,6 +295,9 @@ func ParseFaultEvents(s string) ([]FaultEvent, error) {
 			// the offending item.
 			return nil, fmt.Errorf("servesim: fault %q: non-finite time", item)
 		}
+		if at < 0 {
+			return nil, fmt.Errorf("servesim: fault %q: negative time", item)
+		}
 		target = strings.TrimSpace(target)
 		if len(target) < 2 || (target[0] != 'd' && target[0] != 'p') {
 			return nil, fmt.Errorf("servesim: fault %q: bad target %q (want dN or pN)", item, target)
@@ -302,6 +305,9 @@ func ParseFaultEvents(s string) ([]FaultEvent, error) {
 		inst, err := strconv.Atoi(target[1:])
 		if err != nil {
 			return nil, fmt.Errorf("servesim: fault %q: bad target %q: %w", item, target, err)
+		}
+		if inst < 0 {
+			return nil, fmt.Errorf("servesim: fault %q: negative instance in target %q", item, target)
 		}
 		out = append(out, FaultEvent{At: at, Kind: kind, Prefill: target[0] == 'p', Instance: inst})
 	}

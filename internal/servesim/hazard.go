@@ -726,6 +726,11 @@ func ParseHazardEvents(s string) ([]PlaneHazardEvent, error) {
 	if len(out) == 0 {
 		return nil, fmt.Errorf("servesim: empty hazard script %q", s)
 	}
+	// Plane counts are checked here too, so a spec that parses is one
+	// the plan accepts on any fleet large enough for its targets.
+	if err := (&HazardPlan{Planes: out}).validate(math.MaxInt, math.MaxInt, false); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package servesim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -38,8 +39,22 @@ type KVTierConfig struct {
 }
 
 // Validate checks the tier parameters, reporting every problem at once.
+// NaN and infinite values are rejected: they pass every range check.
 func (t KVTierConfig) Validate() error {
 	var errs []error
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"capacity", t.CapacityBytes},
+		{"read bandwidth", t.ReadBW},
+		{"write bandwidth", t.WriteBW},
+		{"chunk latency", t.ChunkLatency},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			errs = append(errs, fmt.Errorf("non-finite %s %v", f.name, f.v))
+		}
+	}
 	if t.CapacityBytes <= 0 {
 		errs = append(errs, fmt.Errorf("non-positive capacity %v", t.CapacityBytes))
 	}

@@ -217,7 +217,7 @@ func (w Workload) Validate() error {
 			return fmt.Errorf("servesim: trace workload with empty trace")
 		}
 		for i, r := range w.Trace {
-			if r.PromptTokens <= 0 || r.OutputTokens <= 0 || r.Arrival < 0 {
+			if r.PromptTokens <= 0 || r.OutputTokens <= 0 || !(r.Arrival >= 0) || math.IsInf(r.Arrival, 1) {
 				return fmt.Errorf("servesim: trace entry %d invalid: %+v", i, r)
 			}
 		}
@@ -413,14 +413,17 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("servesim: trace line %d: %w", line, err)
 		}
+		if math.IsNaN(arr) || math.IsInf(arr, 0) {
+			return nil, fmt.Errorf("servesim: trace line %d: non-finite arrival %v", line, arr)
+		}
 		if arr < 0 {
 			return nil, fmt.Errorf("servesim: trace line %d: negative arrival %v", line, arr)
 		}
-		if prompt < 0 {
-			return nil, fmt.Errorf("servesim: trace line %d: negative prompt tokens %d", line, prompt)
+		if prompt <= 0 {
+			return nil, fmt.Errorf("servesim: trace line %d: non-positive prompt tokens %d", line, prompt)
 		}
-		if output < 0 {
-			return nil, fmt.Errorf("servesim: trace line %d: negative output tokens %d", line, output)
+		if output <= 0 {
+			return nil, fmt.Errorf("servesim: trace line %d: non-positive output tokens %d", line, output)
 		}
 		out = append(out, Request{ID: len(out), Arrival: arr, PromptTokens: prompt, OutputTokens: output})
 	}
