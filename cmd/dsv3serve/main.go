@@ -65,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -145,12 +146,14 @@ func main() {
 	}
 	cfg.KV.ChunkTokens = *chunkTokens
 	cfg.KV.PrefixCache = *prefixCache
-	if *mtpAccept > 0 {
+	// Non-zero (not positive) switches: a NaN or negative value must
+	// reach validation and fail there, not silently disable the feature.
+	if *mtpAccept != 0 {
 		spec := dsv3.MTPV3()
 		spec.Acceptance = *mtpAccept
 		cfg.MTP = &spec
 	}
-	if *failSpec != "" || *mtbf > 0 {
+	if *failSpec != "" || *mtbf != 0 {
 		var events []dsv3.ServeFaultEvent
 		if *failSpec != "" {
 			events, err = dsv3.ParseServeFaultEvents(*failSpec)
@@ -171,7 +174,7 @@ func main() {
 		}
 		cfg.Resilience.Admission = adm
 	}
-	if *hazardSpec != "" || *sdcRate > 0 || *verifyTrials > 0 || *detect > 0 || *quarantineRepair > 0 {
+	if *hazardSpec != "" || *sdcRate != 0 || *verifyTrials != 0 || *detect != 0 || *quarantineRepair != 0 {
 		plan := &dsv3.ServeHazardPlan{
 			SDCRate:          *sdcRate,
 			VerifyTrials:     *verifyTrials,
@@ -196,13 +199,11 @@ func main() {
 	faulty := cfg.Resilience.Faults != nil || *admissionSpec != "" || *retries > 0 || hazardous
 
 	observing := *traceOut != "" || *metricsOut != ""
-	if observing {
-		if *findCapacity {
-			fail(fmt.Errorf("dsv3serve: -trace-out/-metrics-out record a single run and cannot follow a -find-capacity search"))
-		}
-		if *metricsInterval <= 0 {
-			fail(fmt.Errorf("dsv3serve: -metrics-interval must be > 0, got %g", *metricsInterval))
-		}
+	if observing && *findCapacity {
+		fail(fmt.Errorf("dsv3serve: -trace-out/-metrics-out record a single run and cannot follow a -find-capacity search"))
+	}
+	if !(*metricsInterval > 0) || math.IsInf(*metricsInterval, 1) {
+		fail(fmt.Errorf("dsv3serve: -metrics-interval must be positive and finite, got %g", *metricsInterval))
 	}
 
 	// Surface every configuration problem at once: Config.Validate

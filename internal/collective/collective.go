@@ -28,12 +28,6 @@ type Options struct {
 	// HostLatency is the per-flow endpoint software latency added on top
 	// of path propagation.
 	HostLatency units.Seconds
-	// Multipath sprays each flow across all equal-cost paths (IB
-	// adaptive routing). When false, each flow is pinned to one path
-	// chosen by FlowSeed hashing.
-	Multipath bool
-	// FlowSeed perturbs single-path (ECMP-like) choices.
-	FlowSeed uint64
 }
 
 // DefaultOptions matches the calibration used by the Figure 5/6
@@ -43,7 +37,6 @@ func DefaultOptions() Options {
 		LaunchOverhead:       80 * units.Microsecond,
 		PerFlowOverheadBytes: 2 * units.MiB,
 		HostLatency:          0.85 * units.Microsecond,
-		Multipath:            true,
 	}
 }
 
@@ -106,8 +99,9 @@ func (s *Scratch) AllToAll(c *cluster.Cluster, ranks int, perRankBytes units.Byt
 				continue // local copy, no fabric time
 			}
 			dstNode, dstGPU := c.RankOf(q)
+			// Every flow sprays across all equal-cost paths (IB
+			// adaptive routing).
 			paths := c.PXNPaths(srcNode, srcGPU, dstNode, dstGPU)
-			paths = selectPaths(paths, opts, uint64(r)<<20|uint64(q))
 			flows = append(flows, netsim.Flow{
 				Src:            c.GPUID(srcNode, srcGPU),
 				Dst:            c.GPUID(dstNode, dstGPU),
@@ -134,16 +128,6 @@ func wireTax(chunk units.Bytes, opts Options) units.Bytes {
 		return chunk
 	}
 	return opts.PerFlowOverheadBytes
-}
-
-// selectPaths applies the multipath option: either all equal-cost paths
-// (adaptive routing) or a deterministic hash pick.
-func selectPaths(paths [][]int, opts Options, key uint64) [][]int {
-	if opts.Multipath || len(paths) <= 1 {
-		return paths
-	}
-	idx := int(mix(key^opts.FlowSeed) % uint64(len(paths)))
-	return paths[idx : idx+1]
 }
 
 func mix(x uint64) uint64 {
@@ -195,7 +179,7 @@ func (s *Scratch) RingCollective(router *netsim.Router, groups [][]int, perRankB
 			// ECMP hashes the connection 5-tuple; static routing uses a
 			// per-destination route table (spread by destination, the
 			// way an operator would configure it).
-			key := mix(uint64(gi)<<32 | uint64(i)<<16 | opts.FlowSeed)
+			key := mix(uint64(gi)<<32 | uint64(i)<<16)
 			if policy == netsim.PolicyStatic {
 				key = uint64(dst)
 			}

@@ -92,12 +92,12 @@ func TestParallelSerialParity(t *testing.T) {
 	}
 }
 
-// The determinism contract extends to every emitter: the structured
-// results (and hence the JSON and text encodings) of every catalogue
-// runner must be byte-identical between serial and parallel execution.
-// The serial result must also be well-formed: correctly labelled and
-// seeded, with at least one table and rectangular rows. (Byte-level
-// text fidelity is pinned by the .txt golden corpus.)
+// The determinism contract extends to every emitter: the JSON and text
+// encodings of every catalogue runner must be byte-identical between
+// serial and parallel execution. The serial result must also be
+// well-formed: correctly labelled and seeded, with at least one table
+// and rectangular rows. (Byte-level text fidelity is pinned by the
+// .txt golden corpus.)
 func TestCatalogueEmitterParity(t *testing.T) {
 	run := func(t *testing.T, workers int, r Runner) (*results.Result, []byte) {
 		t.Helper()
@@ -116,9 +116,12 @@ func TestCatalogueEmitterParity(t *testing.T) {
 	for _, r := range Catalogue() {
 		t.Run(r.Name, func(t *testing.T) {
 			res, serial := run(t, 1, r)
-			_, par := run(t, 8, r)
+			parRes, par := run(t, 8, r)
 			if !bytes.Equal(serial, par) {
 				t.Errorf("parallel JSON differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
+			}
+			if st, pt := res.Text(), parRes.Text(); st != pt {
+				t.Errorf("parallel text differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", st, pt)
 			}
 			if res.Experiment != r.Name {
 				t.Errorf("result labelled %q", res.Experiment)

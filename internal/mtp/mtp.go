@@ -9,6 +9,7 @@ package mtp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -38,8 +39,16 @@ func V3Config() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Modules < 0 || c.Acceptance < 0 || c.Acceptance > 1 {
-		return fmt.Errorf("mtp: bad config %+v", c)
+	if c.Modules < 0 {
+		return fmt.Errorf("mtp: negative module count %d", c.Modules)
+	}
+	if !(c.Acceptance >= 0 && c.Acceptance <= 1) {
+		return fmt.Errorf("mtp: acceptance %v outside [0,1]", c.Acceptance)
+	}
+	for _, x := range []float64{c.DraftCost, c.VerifyOverhead} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("mtp: draft cost %v and verify overhead %v must be finite", c.DraftCost, c.VerifyOverhead)
+		}
 	}
 	return nil
 }

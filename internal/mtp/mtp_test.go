@@ -91,6 +91,15 @@ func TestValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("acceptance > 1 must fail")
 	}
+	for _, bad := range []Config{
+		{Modules: 1, Acceptance: math.NaN()},
+		{Modules: 1, Acceptance: 0.85, DraftCost: math.NaN()},
+		{Modules: 1, Acceptance: 0.85, VerifyOverhead: math.Inf(1)},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("non-finite config %+v must fail", bad)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	if _, err := Simulate(V3Config(), 0, rng); err == nil {
 		t.Error("zero tokens must fail")

@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the serving simulator: a
-// zero-cost-when-disabled tracer contract for request lifecycles plus a
+// zero-cost-when-disabled request-lifecycle trace recorder plus a
 // time-series metrics registry, both deterministic by construction.
 //
 // The engine in internal/servesim drives everything through nil-checked
@@ -14,7 +14,7 @@
 //
 // The two halves:
 //
-//   - Tracer (implemented by TraceRecorder) observes request lifecycle
+//   - TraceRecorder observes request lifecycle
 //     transitions — queue wait, prefill, KV transfer, tier reload,
 //     decode residency, retry backoff — plus instant marks (arrival,
 //     shed, preemption, offload, crash-orphaning, retry, completion)
@@ -28,8 +28,6 @@
 //     retry/shed totals) on a fixed simulated-time cadence and emits
 //     them as a results.Table, CSV, or JSON.
 package obs
-
-import "dsv3/internal/units"
 
 // Phase is one exclusive state of a request's lifecycle. At any
 // instant a live request is in at most one phase, phases change only
@@ -177,37 +175,4 @@ type RunInfo struct {
 	Prefill   int
 	Decode    int
 	Colocated bool
-}
-
-// Tracer observes one serving-simulation run. The engine calls it
-// single-threaded in simulated-time order; every timestamp is
-// simulated seconds. BeginRun resets the tracer, so one tracer follows
-// one engine across pooled runs. Implementations must not read wall
-// clocks or global RNGs — trace output must be a pure function of the
-// run.
-type Tracer interface {
-	// BeginRun starts (and resets to) a new run over the given fleet.
-	BeginRun(run RunInfo)
-	// PhaseBegin opens a phase for the request at time t. inst is the
-	// instance the phase runs on, -1 when not instance-bound (the
-	// shared arrival queue, retry backoff). At most one phase is open
-	// per request; the engine closes the previous phase at the same
-	// instant it opens the next.
-	PhaseBegin(t units.Seconds, req ReqInfo, ph Phase, inst int)
-	// PhaseEnd closes the request's open phase at time t; it is a
-	// no-op if no phase is open.
-	PhaseEnd(t units.Seconds, reqID int)
-	// Mark records an instantaneous request event.
-	Mark(t units.Seconds, req ReqInfo, m Mark)
-	// Compute records one compute slice [start, start+dur) on an
-	// instance. v is the request ID for ComputePrefill and the batch
-	// size for ComputeDecodeStep. Slices are recorded when scheduled,
-	// so start equals the current simulated time and the end lies in
-	// the future.
-	Compute(start, dur units.Seconds, prefill bool, inst int, kind ComputeKind, v int)
-	// Incident records an instance health transition ("crash",
-	// "recover", "drain").
-	Incident(t units.Seconds, prefill bool, inst int, kind string)
-	// EndRun closes the run at the final simulated time.
-	EndRun(t units.Seconds)
 }

@@ -55,11 +55,14 @@ type reqTrack struct {
 	phases    [NumPhases]units.Seconds
 }
 
-// TraceRecorder implements Tracer: it records the run as Chrome
-// trace_event JSON (WriteJSON) and accumulates per-request phase
-// durations (Breakdowns, PhaseTable). The recorder reuses its buffers
-// across runs — BeginRun resets it — and records only simulated time,
-// so its output is a pure function of the traced run.
+// TraceRecorder observes one serving-simulation run: it records the run
+// as Chrome trace_event JSON (WriteJSON) and accumulates per-request
+// phase durations (Breakdowns, PhaseTable). The engine calls its hooks
+// single-threaded in simulated-time order; every timestamp is
+// simulated seconds. The recorder reuses its buffers across runs —
+// BeginRun resets it, so one recorder follows one engine across pooled
+// runs — and records only simulated time, never wall clocks or global
+// RNGs, so its output is a pure function of the traced run.
 type TraceRecorder struct {
 	run    RunInfo
 	begun  bool
@@ -72,7 +75,7 @@ type TraceRecorder struct {
 // largest run it traces.
 func NewTraceRecorder() *TraceRecorder { return &TraceRecorder{} }
 
-// BeginRun implements Tracer.
+// BeginRun starts (and resets to) a new run over the given fleet.
 func (r *TraceRecorder) BeginRun(run RunInfo) {
 	r.run = run
 	r.begun = true
@@ -106,7 +109,11 @@ func (r *TraceRecorder) instPid(prefill bool, inst int) int {
 	return pidInstBase + r.run.Prefill + inst
 }
 
-// PhaseBegin implements Tracer.
+// PhaseBegin opens a phase for the request at time t. inst is the
+// instance the phase runs on, -1 when not instance-bound (the shared
+// arrival queue, retry backoff). At most one phase is open per
+// request; the engine closes the previous phase at the same instant it
+// opens the next.
 func (r *TraceRecorder) PhaseBegin(t units.Seconds, req ReqInfo, ph Phase, inst int) {
 	tr := r.track(req)
 	if tr.openSet {
@@ -124,7 +131,8 @@ func (r *TraceRecorder) PhaseBegin(t units.Seconds, req ReqInfo, ph Phase, inst 
 	r.events = append(r.events, ev)
 }
 
-// PhaseEnd implements Tracer.
+// PhaseEnd closes the request's open phase at time t; it is a no-op if
+// no phase is open.
 func (r *TraceRecorder) PhaseEnd(t units.Seconds, reqID int) {
 	if reqID < 0 || reqID >= len(r.reqs) {
 		return
@@ -138,7 +146,7 @@ func (r *TraceRecorder) PhaseEnd(t units.Seconds, reqID int) {
 	tr.openSet = false
 }
 
-// Mark implements Tracer.
+// Mark records an instantaneous request event.
 func (r *TraceRecorder) Mark(t units.Seconds, req ReqInfo, m Mark) {
 	tr := r.track(req)
 	switch m {
@@ -161,7 +169,10 @@ func (r *TraceRecorder) Mark(t units.Seconds, req ReqInfo, m Mark) {
 	r.events = append(r.events, traceEvent{name: m.String(), cat: "mark", ph: 'n', ts: t, id: req.ID})
 }
 
-// Compute implements Tracer.
+// Compute records one compute slice [start, start+dur) on an
+// instance. v is the request ID for ComputePrefill and the batch size
+// for ComputeDecodeStep. Slices are recorded when scheduled, so start
+// equals the current simulated time and the end lies in the future.
 func (r *TraceRecorder) Compute(start, dur units.Seconds, prefill bool, inst int, kind ComputeKind, v int) {
 	ev := traceEvent{name: kind.String(), ph: 'X', ts: start, dur: dur, pid: r.instPid(prefill, inst), arg: v}
 	if kind == ComputeDecodeStep {
@@ -172,12 +183,13 @@ func (r *TraceRecorder) Compute(start, dur units.Seconds, prefill bool, inst int
 	r.events = append(r.events, ev)
 }
 
-// Incident implements Tracer.
+// Incident records an instance health transition ("crash", "recover",
+// "drain", ...).
 func (r *TraceRecorder) Incident(t units.Seconds, prefill bool, inst int, kind string) {
 	r.events = append(r.events, traceEvent{name: kind, ph: 'i', ts: t, pid: r.instPid(prefill, inst)})
 }
 
-// EndRun implements Tracer.
+// EndRun closes the run at the final simulated time.
 func (r *TraceRecorder) EndRun(t units.Seconds) { r.endAt = t }
 
 // Events returns the number of recorded events.

@@ -1,6 +1,7 @@
 package servesim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -14,12 +15,13 @@ func quickPlanner() CapacityPlanner {
 
 func TestCapacityPlannerValidate(t *testing.T) {
 	bad := []CapacityPlanner{
-		{Target: 0, LoRate: 1, HiRate: 2, MaxRate: 10, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 0, HiRate: 2, MaxRate: 10, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 2, HiRate: 1, MaxRate: 10, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 1, HiRate: 2, MaxRate: 1, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 1, HiRate: 2, MaxRate: 10, Tolerance: 0, MaxIters: 8},
-		{Target: 0.9, LoRate: 1, HiRate: 2, MaxRate: 10, Tolerance: 0.1, MaxIters: 0},
+		{Target: 0, Tolerance: 0.1},
+		{Target: 1.5, Tolerance: 0.1},
+		{Target: math.NaN(), Tolerance: 0.1},
+		{Target: math.Inf(1), Tolerance: 0.1},
+		{Target: 0.9, Tolerance: 0},
+		{Target: 0.9, Tolerance: 1},
+		{Target: 0.9, Tolerance: math.NaN()},
 	}
 	for i, p := range bad {
 		if _, err := p.Find(V3ServeConfig(), testWorkload(1, 10)); err == nil {
@@ -111,18 +113,19 @@ func TestCapacityPlannerMonotoneInFleet(t *testing.T) {
 }
 
 // An unreachable target reports MaxRate 0 with the floor probe's
-// report attached for diagnosis.
+// report attached for diagnosis. A 1 µs TTFT SLO is unreachable even
+// at the bracket floor.
 func TestCapacityPlannerUnsustainableFloor(t *testing.T) {
 	p := quickPlanner()
-	p.LoRate, p.HiRate = 64, 128
 	cfg := V3ServeConfig()
 	cfg.Fleet.PrefillInstances, cfg.Fleet.DecodeInstances = 1, 1
+	cfg.SLO.TTFT = 1e-6
 	res, err := p.Find(cfg, testWorkload(0, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MaxRate != 0 {
-		t.Errorf("64 req/s on a 1P+1D fleet reported sustainable: %+v", res)
+		t.Errorf("a 1 us TTFT SLO reported sustainable: %+v", res)
 	}
 	if res.Report == nil || len(res.Probes) != 1 || res.Probes[0].Sustainable {
 		t.Errorf("floor-failure result malformed: %+v", res)

@@ -3,6 +3,7 @@ package servesim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dsv3/internal/mtp"
 	"dsv3/internal/units"
@@ -158,11 +159,7 @@ func V3ServeConfig() Config {
 			TransferBW:       50 * units.GB,
 		},
 		KV: KVHierarchy{
-			HBM: KVConfig{
-				CapacityBytes: 64 * units.GB,
-				PageTokens:    64,
-				BytesPerElem:  l.KVBytesPerElem,
-			},
+			HBM: KVConfig{CapacityBytes: 64 * units.GB},
 		},
 		SLO:  DefaultSLO(),
 		Seed: 1,
@@ -198,9 +195,14 @@ func (c Config) validateRun(w Workload) error {
 	if cfgErr != nil || wErr != nil {
 		return errors.Join(cfgErr, wErr)
 	}
-	total := c.KV.HBM.TotalPages(c.Latency.Model)
-	if need := c.KV.HBM.PagesFor(w.maxContextTokens()); need > total {
+	total := c.KV.HBM.totalPages(c.Latency.consts().kvPerToken)
+	if need := pagesFor(w.maxContextTokens()); need > total {
 		return fmt.Errorf("servesim: KV pool (%d pages) cannot hold one worst-case request (%d pages)", total, need)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf. Validators use it
+// because NaN fails every ordered comparison and so slips past range
+// checks written as "reject if x < 0".
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -2,6 +2,7 @@ package servesim
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -229,8 +230,9 @@ func TestFaultPlanValidate(t *testing.T) {
 		{Events: []FaultEvent{{Kind: FaultCrash, Instance: 4}}},                // decode out of range
 		{Events: []FaultEvent{{Kind: FaultCrash, Prefill: true, Instance: 2}}}, // prefill out of range
 		{MTBF: -1},
-		{RecoveryWindow: -1},
-		{RecoveryBand: 1.5},
+		{MTBF: math.NaN()},
+		{MTBF: math.Inf(1)},
+		{MTBF: 30, MTTR: math.NaN()},
 	}
 	for i := range bad {
 		cfg := V3ServeConfig()
@@ -254,18 +256,14 @@ func TestFaultPlanValidate(t *testing.T) {
 }
 
 func TestRetryPolicyDelay(t *testing.T) {
-	p := DefaultRetryPolicy()
 	want := []units.Seconds{0.25, 0.5, 1, 2, 4, 4}
 	for i, w := range want {
-		if got := p.delay(i + 1); got != w {
-			t.Errorf("delay(%d) = %v, want %v", i+1, got, w)
+		if got := retryDelay(i + 1); got != w {
+			t.Errorf("retryDelay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 	if (RetryPolicy{MaxRetries: -1}).Validate() == nil {
 		t.Error("negative retry budget validated")
-	}
-	if (RetryPolicy{Backoff: -1}).Validate() == nil {
-		t.Error("negative backoff validated")
 	}
 }
 

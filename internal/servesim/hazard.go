@@ -74,41 +74,29 @@ func (ev PlaneHazardEvent) commScale() float64 {
 	return float64(t) / float64(t-ev.FailedPlanes)
 }
 
+// Gray-failure detection constants: the EWMA smoothing factor, and the
+// warm-up in steps an instance (and the median pool) needs before it
+// can be judged.
+const (
+	detectAlpha    = 0.2
+	detectMinSteps = 8
+)
+
 // DetectionConfig tunes router-side gray-failure detection: every
 // decode instance's observed-vs-expected step-time ratio (observed
 // step latency over the model's healthy-interconnect prediction at the
-// same batch size) is EWMA-tracked and compared against the fleet
-// median; a persistent straggler is drained. The zero value disables
-// detection.
+// same batch size) is EWMA-tracked (smoothing 0.2) and compared
+// against the fleet median once 8 steps have warmed it up; a
+// persistent straggler is drained. The zero value disables detection.
 type DetectionConfig struct {
 	// Threshold drains an instance whose EWMA step-time ratio exceeds
-	// Threshold x the fleet median ratio (values <= 0 disable
-	// detection; sensible values are > 1 — a healthy instance's ratio
-	// is 1.0 at any occupancy).
+	// Threshold x the fleet median ratio. 0 disables detection; any
+	// other value must exceed 1 — a healthy instance's ratio is 1.0 at
+	// any occupancy.
 	Threshold float64
-	// EWMAAlpha is the smoothing factor in (0, 1]; 0 means the default
-	// 0.2.
-	EWMAAlpha float64
-	// MinSteps is the warm-up: an instance (and the median pool) needs
-	// this many steps before it can be judged; 0 means the default 8.
-	MinSteps int
 }
 
 func (d DetectionConfig) enabled() bool { return d.Threshold > 0 }
-
-func (d DetectionConfig) alpha() float64 {
-	if d.EWMAAlpha > 0 {
-		return d.EWMAAlpha
-	}
-	return 0.2
-}
-
-func (d DetectionConfig) minSteps() int {
-	if d.MinSteps > 0 {
-		return d.MinSteps
-	}
-	return 8
-}
 
 // HazardPlan composes the cross-layer hazards of one run: plane-failure
 // bandwidth derates, silent data corruption with optional Freivalds
@@ -140,7 +128,7 @@ type HazardPlan struct {
 // validate checks the plan against the resolved cluster shape.
 func (h *HazardPlan) validate(nPrefill, nDecode int, colocated bool) error {
 	for i, ev := range h.Planes {
-		if ev.At < 0 || math.IsNaN(float64(ev.At)) || math.IsInf(float64(ev.At), 0) {
+		if ev.At < 0 || !finite(ev.At) {
 			return fmt.Errorf("servesim: plane hazard %d at invalid time %v", i, ev.At)
 		}
 		if ev.Prefill {
@@ -172,19 +160,11 @@ func (h *HazardPlan) validate(nPrefill, nDecode int, colocated bool) error {
 	if h.VerifyTrials < 0 {
 		return fmt.Errorf("servesim: negative verify trials %d", h.VerifyTrials)
 	}
-	if d := h.Detect; d.enabled() {
-		if d.Threshold <= 1 {
-			return fmt.Errorf("servesim: gray-detection threshold %v must exceed 1", d.Threshold)
-		}
-		if d.EWMAAlpha < 0 || d.EWMAAlpha > 1 {
-			return fmt.Errorf("servesim: gray-detection EWMA alpha %v outside [0,1]", d.EWMAAlpha)
-		}
-		if d.MinSteps < 0 {
-			return fmt.Errorf("servesim: negative gray-detection warm-up %d", d.MinSteps)
-		}
+	if d := h.Detect.Threshold; d != 0 && !(d > 1 && finite(d)) {
+		return fmt.Errorf("servesim: gray-detection threshold %v must be 0 (off) or finite and above 1", d)
 	}
-	if h.QuarantineRepair < 0 {
-		return fmt.Errorf("servesim: negative quarantine repair %v", h.QuarantineRepair)
+	if r := h.QuarantineRepair; r < 0 || !finite(r) {
+		return fmt.Errorf("servesim: quarantine repair %v must be finite and non-negative", r)
 	}
 	return nil
 }
@@ -209,7 +189,7 @@ func (h HedgePolicy) enabled() bool { return h.Delay > 0 || h.TrackP95 }
 
 // Validate checks the policy.
 func (h HedgePolicy) Validate() error {
-	if h.Delay < 0 || math.IsNaN(float64(h.Delay)) || math.IsInf(float64(h.Delay), 0) {
+	if h.Delay < 0 || !finite(h.Delay) {
 		return fmt.Errorf("servesim: invalid hedge delay %v", h.Delay)
 	}
 	if h.TrackP95 && h.Delay <= 0 {
@@ -249,8 +229,6 @@ type hazardState struct {
 	// per trial), divided by achieved FLOPS at charge time.
 	verifyFactor float64
 	repair       units.Seconds
-	alpha        float64
-	minSteps     int
 	threshold    float64
 
 	// Per-instance comm-leg slowdowns (1 = healthy).
@@ -319,8 +297,6 @@ func (e *Engine) resetHazards(nPrefill, nDecode int) {
 		}
 		hz.repair = plan.QuarantineRepair
 		hz.detect = plan.Detect.enabled()
-		hz.alpha = plan.Detect.alpha()
-		hz.minSteps = plan.Detect.minSteps()
 		hz.threshold = plan.Detect.Threshold
 		hz.scaleP = growFloats(hz.scaleP, nPrefill)
 		hz.scaleD = growFloats(hz.scaleD, nDecode)
@@ -503,18 +479,18 @@ func (e *Engine) noteStepEWMA(inst int) {
 	if hz.ewmaSteps[inst] == 0 {
 		hz.ewma[inst] = x
 	} else {
-		hz.ewma[inst] = hz.alpha*x + (1-hz.alpha)*hz.ewma[inst]
+		hz.ewma[inst] = detectAlpha*x + (1-detectAlpha)*hz.ewma[inst]
 	}
 	hz.ewmaSteps[inst]++
 	d := &e.decodes[inst]
-	if hz.ewmaSteps[inst] < hz.minSteps || hz.grayDrained[inst] || !d.health.servable() {
+	if hz.ewmaSteps[inst] < detectMinSteps || hz.grayDrained[inst] || !d.health.servable() {
 		return
 	}
 	// Fleet median over warmed-up, servable instances. Fewer than two
 	// eligible peers means no basis for comparison.
 	med := hz.medScratch[:0]
 	for i := range e.decodes {
-		if hz.ewmaSteps[i] >= hz.minSteps && e.decodes[i].health.servable() {
+		if hz.ewmaSteps[i] >= detectMinSteps && e.decodes[i].health.servable() {
 			med = append(med, hz.ewma[i])
 		}
 	}
@@ -690,7 +666,7 @@ func ParseHazardEvents(s string) ([]PlaneHazardEvent, error) {
 		if err != nil {
 			return nil, fmt.Errorf("servesim: hazard %q: bad time: %w", item, err)
 		}
-		if math.IsNaN(at) || math.IsInf(at, 0) {
+		if !finite(at) {
 			return nil, fmt.Errorf("servesim: hazard %q: non-finite time", item)
 		}
 		want := 3
@@ -716,10 +692,12 @@ func ParseHazardEvents(s string) ([]PlaneHazardEvent, error) {
 				}
 			}
 		}
-		for inst := lo; inst <= hi; inst++ {
+		// Count rather than compare against hi: a range ending at
+		// MaxInt would overflow inst++ and never end.
+		for n := 0; n <= hi-lo; n++ {
 			out = append(out, PlaneHazardEvent{
 				At: units.Seconds(at), Heal: heal, Prefill: prefill,
-				Instance: inst, FailedPlanes: failed, TotalPlanes: total,
+				Instance: lo + n, FailedPlanes: failed, TotalPlanes: total,
 			})
 		}
 	}
@@ -733,6 +711,11 @@ func ParseHazardEvents(s string) ([]PlaneHazardEvent, error) {
 	}
 	return out, nil
 }
+
+// maxHazardRange bounds the instances one dN-M / pN-M hazard target may
+// name: ranges expand to one event each at parse time, before any
+// fleet-size check. 4096 is four times the 1000-instance serve-fleet.
+const maxHazardRange = 4096
 
 // parseInstRange reads a dN / pN / dN-M / pN-M instance target.
 func parseInstRange(item, target string) (lo, hi int, prefill bool, err error) {
@@ -751,6 +734,9 @@ func parseInstRange(item, target string) (lo, hi int, prefill bool, err error) {
 		}
 		if hi < lo {
 			return 0, 0, false, fmt.Errorf("servesim: hazard %q: inverted range %q", item, target)
+		}
+		if hi-lo >= maxHazardRange {
+			return 0, 0, false, fmt.Errorf("servesim: hazard %q: range %q spans more than %d instances", item, target, maxHazardRange)
 		}
 	}
 	return lo, hi, prefill, nil

@@ -2,6 +2,8 @@ package servesim
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -262,6 +264,22 @@ func TestParseHazardEvents(t *testing.T) {
 	}
 }
 
+// A dN-M range is bounded before it is expanded: a wide range fails at
+// parse time, and one ending at MaxInt terminates instead of
+// overflowing its instance counter.
+func TestParseHazardEventsRangeBound(t *testing.T) {
+	if _, err := ParseHazardEvents("degrade@1:d0-100000:1"); err == nil {
+		t.Fatal("100001-instance range accepted")
+	}
+	if _, err := ParseHazardEvents("degrade@1:d0-4095:1"); err != nil {
+		t.Errorf("4096-instance range rejected: %v", err)
+	}
+	spec := fmt.Sprintf("heal@1:d%d-%d", math.MaxInt-2, math.MaxInt)
+	if _, err := ParseHazardEvents(spec); err == nil {
+		t.Errorf("%s accepted", spec)
+	}
+}
+
 func TestParseHedgePolicy(t *testing.T) {
 	h, err := ParseHedgePolicy("0.5")
 	if err != nil || h.Delay != 0.5 || h.TrackP95 {
@@ -306,13 +324,16 @@ func TestHazardPlanValidate(t *testing.T) {
 		"zero planes failed": func(c *Config) {
 			c.Resilience.Hazards.Planes = []PlaneHazardEvent{{At: 1, Instance: 0, FailedPlanes: 0, TotalPlanes: 8}}
 		},
-		"sdc rate above 1":  func(c *Config) { c.Resilience.Hazards.SDCRate = 1.5 },
-		"negative trials":   func(c *Config) { c.Resilience.Hazards.VerifyTrials = -1 },
-		"threshold below 1": func(c *Config) { c.Resilience.Hazards.Detect.Threshold = 0.9 },
-		"alpha above 1":     func(c *Config) { c.Resilience.Hazards.Detect = DetectionConfig{Threshold: 1.5, EWMAAlpha: 2} },
-		"negative repair":   func(c *Config) { c.Resilience.Hazards.QuarantineRepair = -1 },
-		"negative hedge":    func(c *Config) { c.Resilience.Hedge.Delay = -1 },
-		"p95 without floor": func(c *Config) { c.Resilience.Hedge = HedgePolicy{TrackP95: true} },
+		"sdc rate above 1":   func(c *Config) { c.Resilience.Hazards.SDCRate = 1.5 },
+		"negative trials":    func(c *Config) { c.Resilience.Hazards.VerifyTrials = -1 },
+		"threshold below 1":  func(c *Config) { c.Resilience.Hazards.Detect.Threshold = 0.9 },
+		"NaN threshold":      func(c *Config) { c.Resilience.Hazards.Detect.Threshold = math.NaN() },
+		"negative threshold": func(c *Config) { c.Resilience.Hazards.Detect.Threshold = -1 },
+		"Inf threshold":      func(c *Config) { c.Resilience.Hazards.Detect.Threshold = math.Inf(1) },
+		"negative repair":    func(c *Config) { c.Resilience.Hazards.QuarantineRepair = -1 },
+		"NaN repair":         func(c *Config) { c.Resilience.Hazards.QuarantineRepair = math.NaN() },
+		"negative hedge":     func(c *Config) { c.Resilience.Hedge.Delay = -1 },
+		"p95 without floor":  func(c *Config) { c.Resilience.Hedge = HedgePolicy{TrackP95: true} },
 	} {
 		cfg := base()
 		mutate(&cfg)
@@ -327,21 +348,20 @@ func TestHazardPlanValidate(t *testing.T) {
 	}
 }
 
-// Satellite: a huge retry budget times a large backoff factor must not
-// walk the delay past the cap (or to +Inf) before capping.
+// A huge retry budget must not walk the delay past the cap (or to
+// +Inf) before capping.
 func TestRetryPolicyDelayLargeBudget(t *testing.T) {
-	p := RetryPolicy{MaxRetries: 1 << 20, Backoff: 0.25, BackoffFactor: 10, MaxBackoff: 4}
 	for _, n := range []int{1, 2, 3, 10, 1000, 1 << 20} {
-		d := p.delay(n)
-		if d < 0 || d > p.MaxBackoff {
-			t.Fatalf("delay(%d) = %v outside (0, %v]", n, d, p.MaxBackoff)
+		d := retryDelay(n)
+		if d < 0 || d > retryMaxBackoff {
+			t.Fatalf("retryDelay(%d) = %v outside (0, %v]", n, d, retryMaxBackoff)
 		}
 	}
-	if got := p.delay(1); got != 0.25 {
-		t.Errorf("delay(1) = %v, want first backoff 0.25", got)
+	if got := retryDelay(1); got != 0.25 {
+		t.Errorf("retryDelay(1) = %v, want first backoff 0.25", got)
 	}
-	if got := p.delay(1 << 20); got != 4 {
-		t.Errorf("delay(1<<20) = %v, want cap 4", got)
+	if got := retryDelay(1 << 20); got != 4 {
+		t.Errorf("retryDelay(1<<20) = %v, want cap 4", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package servesim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -51,7 +50,7 @@ func (t KVTierConfig) Validate() error {
 		{"write bandwidth", t.WriteBW},
 		{"chunk latency", t.ChunkLatency},
 	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+		if !finite(f.v) {
 			errs = append(errs, fmt.Errorf("non-finite %s %v", f.name, f.v))
 		}
 	}

@@ -92,7 +92,7 @@ func TestParseKVTiersRejects(t *testing.T) {
 // problem at once, with tiers named by index and label.
 func TestKVHierarchyValidate(t *testing.T) {
 	k := KVHierarchy{
-		HBM:         KVConfig{CapacityBytes: units.GB, PageTokens: 64, BytesPerElem: 1},
+		HBM:         KVConfig{CapacityBytes: units.GB},
 		ChunkTokens: -4,
 		Tiers:       []KVTierConfig{{Name: "dram", CapacityBytes: units.GB, ReadBW: 0, WriteBW: units.GB}},
 		PrefixCache: true,

@@ -113,21 +113,16 @@ type batchAttention struct {
 	KVBytes units.Bytes
 }
 
-// addContext folds one request at context length ctx into the batch.
-func (l LatencyModel) addContext(b *batchAttention, ctx int) {
-	l.addContextC(l.consts(), b, ctx)
-}
-
-// addContextC is addContext over precomputed constants: the same
-// flops-per-context-token-per-layer · ctx · layers and KV-bytes · ctx
-// products mla.AttentionDecodeCost forms, without re-deriving the
-// coefficients.
-func (l LatencyModel) addContextC(lc latConsts, b *batchAttention, ctx int) {
+// addContext folds one request at context length ctx into the batch:
+// the same flops-per-context-token-per-layer · ctx · layers and
+// KV-bytes · ctx products mla.AttentionDecodeCost forms, over the
+// precomputed constants.
+func (l LatencyModel) addContext(lc latConsts, b *batchAttention, ctx int) {
 	b.FLOPs += lc.attnFlopsPerCtxLayer * float64(ctx) * lc.layers
 	b.KVBytes += lc.kvPerToken * float64(ctx)
 }
 
-// DecodeStepTime returns the duration of one continuous-batching
+// decodeStepTimeComm returns the duration of one continuous-batching
 // decode step that advances batch requests whose attention cost has
 // been accumulated in attn. Per layer, communication is the all-to-all
 // for the local batch and computation is attention (max of its compute
@@ -135,19 +130,11 @@ func (l LatencyModel) addContextC(lc latConsts, b *batchAttention, ctx int) {
 // and weight streaming); the step costs 2 x max(comm, compute) per
 // layer under dual-micro-batch overlap, matching
 // inference.EPConfig.AnalyzeWithCompute.
-func (l LatencyModel) DecodeStepTime(batch int, attn batchAttention) units.Seconds {
-	return l.decodeStepTime(l.consts(), batch, attn)
-}
-
-func (l LatencyModel) decodeStepTime(lc latConsts, batch int, attn batchAttention) units.Seconds {
-	return l.decodeStepTimeComm(lc, batch, attn, 1)
-}
-
-// decodeStepTimeComm is decodeStepTime with the communication leg
-// scaled by commScale — the plane-failure derating (hazard.go): k of T
-// lost planes squeeze the all-to-all onto the survivors at T/(T-k) x
-// the healthy duration. Multiplying by exactly 1 is a bit-exact
-// identity, so the unscaled entry point above delegates here.
+//
+// The communication leg is scaled by commScale — the plane-failure
+// derating (hazard.go): k of T lost planes squeeze the all-to-all onto
+// the survivors at T/(T-k) x the healthy duration. A healthy instance
+// passes exactly 1, a bit-exact identity.
 func (l LatencyModel) decodeStepTimeComm(lc latConsts, batch int, attn batchAttention, commScale float64) units.Seconds {
 	if batch <= 0 {
 		return 0
@@ -172,23 +159,14 @@ func (l LatencyModel) decodeStepTimeComm(lc latConsts, batch int, attn batchAtte
 	return 2 * per * lc.layers
 }
 
-// PrefillTime returns the duration of prefilling a prompt of the given
-// length on one prefill instance: the max of the compute roofline
-// (linear plus causal attention FLOPs), the weight-streaming roofline
-// (the resident weights are read once regardless of prompt length — the
-// same memory leg DecodeStepTime pays, which floors short-prompt
-// prefills), and the expert-parallel dispatch/combine traffic for all
-// prompt tokens.
-func (l LatencyModel) PrefillTime(promptTokens int) units.Seconds {
-	return l.prefillTime(l.consts(), promptTokens)
-}
-
-func (l LatencyModel) prefillTime(lc latConsts, promptTokens int) units.Seconds {
-	return l.prefillTimeComm(lc, promptTokens, 1)
-}
-
-// prefillTimeComm is prefillTime with the dispatch/combine leg scaled
-// by commScale (see decodeStepTimeComm).
+// prefillTimeComm returns the duration of prefilling a prompt of the
+// given length on one prefill instance: the max of the compute
+// roofline (linear plus causal attention FLOPs), the weight-streaming
+// roofline (the resident weights are read once regardless of prompt
+// length — the same memory leg a decode step pays, which floors
+// short-prompt prefills), and the expert-parallel dispatch/combine
+// traffic for all prompt tokens, scaled by commScale (see
+// decodeStepTimeComm).
 func (l LatencyModel) prefillTimeComm(lc latConsts, promptTokens int, commScale float64) units.Seconds {
 	tokens := float64(promptTokens)
 	linear := 2 * lc.activeNonEmbedding * tokens
@@ -205,14 +183,8 @@ func (l LatencyModel) prefillTimeComm(lc latConsts, promptTokens int, commScale 
 	return compute
 }
 
-// KVBytesForContext returns the KV-cache volume of a context, the
+// kvBytesForContext returns the KV-cache volume of a context, the
 // payload a prefill->decode migration moves.
-func (l LatencyModel) KVBytesForContext(tokens int) units.Bytes {
-	return l.Model.KVCacheBytesPerToken(l.KVBytesPerElem) * float64(tokens)
-}
-
-// kvBytesForContext is KVBytesForContext over the cached per-token
-// footprint.
 func (l LatencyModel) kvBytesForContext(lc latConsts, tokens int) units.Bytes {
 	return lc.kvPerToken * float64(tokens)
 }

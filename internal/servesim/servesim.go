@@ -247,7 +247,7 @@ type Engine struct {
 	// Observability hooks (see trace.go). Both stay nil unless attached,
 	// so the disabled path costs one nil check per hook site and zero
 	// allocations.
-	tracer  obs.Tracer
+	tracer  *obs.TraceRecorder
 	metrics *obs.Registry
 	mi      metricIdx
 
@@ -409,7 +409,7 @@ func (e *Engine) begin(cfg Config, w Workload) error {
 		e.decodes = next
 	}
 	e.decodes = e.decodes[:nDecode]
-	kv := kvPool{cfg: cfg.KV.HBM, total: cfg.KV.HBM.TotalPages(cfg.Latency.Model), fleet: &e.kvUsed}
+	kv := kvPool{total: cfg.KV.HBM.totalPages(e.lc.kvPerToken), fleet: &e.kvUsed}
 	for i := range e.decodes {
 		e.decodes[i].reset(kv)
 	}
@@ -729,7 +729,7 @@ func (e *Engine) startStep(inst int) {
 		// world prefill must never later become an unpreemptable
 		// grower). If the pool is full the prefill waits for
 		// completions to free pages.
-		pages := e.cfg.KV.HBM.PagesFor(req.PromptTokens + req.OutputTokens)
+		pages := pagesFor(req.PromptTokens + req.OutputTokens)
 		if d.kv.tryAlloc(pages) {
 			e.prefillQ.pop()
 			req.pages = pages
@@ -775,7 +775,7 @@ func (e *Engine) startStep(inst int) {
 				e.prefillQ.push(req)
 				continue
 			}
-			pages := e.cfg.KV.HBM.PagesFor(req.ctx)
+			pages := pagesFor(req.ctx)
 			if !d.kv.tryAlloc(pages) {
 				break
 			}
@@ -799,7 +799,7 @@ func (e *Engine) startStep(inst int) {
 
 	var attn batchAttention
 	for _, req := range d.active {
-		e.cfg.Latency.addContextC(e.lc, &attn, req.ctx)
+		e.cfg.Latency.addContext(e.lc, &attn, req.ctx)
 	}
 	dt := e.cfg.Latency.decodeStepTimeComm(e.lc, len(d.active), attn, e.commScaleD(inst)) * e.mtpFactor
 	if e.hz.on {
@@ -947,7 +947,7 @@ func (e *Engine) stepDone(inst int) error {
 		if req.preemptMark == gen {
 			continue
 		}
-		if need := e.cfg.KV.HBM.PagesFor(req.ctx) - req.pages; need > 0 {
+		if need := pagesFor(req.ctx) - req.pages; need > 0 {
 			for !d.kv.tryAlloc(need) {
 				victim := e.pickVictim(d, req, gen)
 				if victim == nil {
@@ -1167,7 +1167,7 @@ func (e *Engine) orphan(req *reqState) {
 		req.retries++
 		e.retries++
 		e.trPhaseBegin(req, obs.PhaseBackoff, -1)
-		e.schedule(e.now+e.cfg.Resilience.Retry.delay(req.retries), evRetry, 0, req)
+		e.schedule(e.now+retryDelay(req.retries), evRetry, 0, req)
 		return
 	}
 	// Retry budget exhausted. A copy whose twin still races is absorbed

@@ -92,7 +92,7 @@ func TestDecodeStepReproducesPaperTPOT(t *testing.T) {
 	l := V3LatencyModel()
 	l.Efficiency = 1
 	l.WeightBytes = 0
-	got := l.DecodeStepTime(32, batchAttention{})
+	got := l.decodeStepTimeComm(l.consts(), 32, batchAttention{}, 1)
 	ep := inference.V3EPConfig()
 	a, err := ep.Analyze(50 * units.GB)
 	if err != nil {
@@ -110,81 +110,89 @@ func TestDecodeStepReproducesPaperTPOT(t *testing.T) {
 // KV-read leg must eventually dominate at long context.
 func TestDecodeStepMonotonic(t *testing.T) {
 	l := V3LatencyModel()
+	lc := l.consts()
+	step := func(b int, attn batchAttention) float64 { return l.decodeStepTimeComm(lc, b, attn, 1) }
 	prev := 0.0
 	for _, b := range []int{1, 4, 16, 64} {
 		var attn batchAttention
 		for i := 0; i < b; i++ {
-			l.addContext(&attn, 4096)
+			l.addContext(lc, &attn, 4096)
 		}
-		dt := l.DecodeStepTime(b, attn)
+		dt := step(b, attn)
 		if dt <= prev {
 			t.Errorf("step time not increasing at batch %d: %v <= %v", b, dt, prev)
 		}
 		prev = dt
 	}
 	var short, long batchAttention
-	l.addContext(&short, 512)
-	l.addContext(&long, 131072)
-	if l.DecodeStepTime(1, long) <= l.DecodeStepTime(1, short) {
+	l.addContext(lc, &short, 512)
+	l.addContext(lc, &long, 131072)
+	if step(1, long) <= step(1, short) {
 		t.Error("long context no slower than short")
 	}
 }
 
 func TestPrefillTime(t *testing.T) {
 	l := V3LatencyModel()
-	if l.PrefillTime(1024) <= l.PrefillTime(256) {
+	lc := l.consts()
+	if l.prefillTimeComm(lc, 1024, 1) <= l.prefillTimeComm(lc, 256, 1) {
 		t.Error("prefill time not increasing in prompt length")
 	}
 	// At moderate prompt lengths prefill is dispatch/combine-bound:
 	// per-token comm bytes x tokens x layers / bandwidth.
 	want := l.commBytesPerToken() * 512 * float64(l.Model.Layers) / l.InterconnectBW
-	if got := l.PrefillTime(512); math.Abs(got-want)/want > 1e-12 {
+	if got := l.prefillTimeComm(lc, 512, 1); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("prefill(512) = %v, want comm-bound %v", got, want)
 	}
 }
 
 // A prefill can never finish faster than the resident weights can be
-// streamed from HBM — the same memory-roofline leg DecodeStepTime pays.
+// streamed from HBM — the same memory-roofline leg a decode step pays.
 // For a one-token prompt both the compute and comm legs are negligible,
 // so the weight-streaming floor is the exact answer.
 func TestPrefillTimeWeightStreamingFloor(t *testing.T) {
 	l := V3LatencyModel()
+	lc := l.consts()
 	floor := l.WeightBytes / (l.Accel.MemBandwidth * l.Efficiency)
-	if got := l.PrefillTime(1); math.Abs(got-floor)/floor > 1e-12 {
+	if got := l.prefillTimeComm(lc, 1, 1); math.Abs(got-floor)/floor > 1e-12 {
 		t.Errorf("prefill(1) = %v, want weight-streaming floor %v", got, floor)
 	}
 	for _, tokens := range []int{1, 8, 64, 512, 4096} {
-		if got := l.PrefillTime(tokens); got < floor {
+		if got := l.prefillTimeComm(lc, tokens, 1); got < floor {
 			t.Errorf("prefill(%d) = %v beats the weight-streaming floor %v", tokens, got, floor)
 		}
 	}
 }
 
 func TestKVConfigPaging(t *testing.T) {
-	k := KVConfig{CapacityBytes: 1 << 30, PageTokens: 64, BytesPerElem: 1}
-	if got := k.PagesFor(1); got != 1 {
-		t.Errorf("PagesFor(1) = %d", got)
+	k := KVConfig{CapacityBytes: 1 << 30}
+	if got := pagesFor(1); got != 1 {
+		t.Errorf("pagesFor(1) = %d", got)
 	}
-	if got := k.PagesFor(64); got != 1 {
-		t.Errorf("PagesFor(64) = %d", got)
+	if got := pagesFor(64); got != 1 {
+		t.Errorf("pagesFor(64) = %d", got)
 	}
-	if got := k.PagesFor(65); got != 2 {
-		t.Errorf("PagesFor(65) = %d", got)
+	if got := pagesFor(65); got != 2 {
+		t.Errorf("pagesFor(65) = %d", got)
 	}
-	m := V3LatencyModel().Model
-	total := k.TotalPages(m)
+	total := k.totalPages(V3LatencyModel().consts().kvPerToken)
 	// 576 latent+rope elements x 61 layers x 64 tokens per page.
 	wantPage := 576.0 * 61 * 64
 	if want := int((1 << 30) / wantPage); total != want {
-		t.Errorf("TotalPages = %d, want %d", total, want)
+		t.Errorf("totalPages = %d, want %d", total, want)
 	}
-	p := newKVPool(k, m)
+	p := kvPool{total: total, fleet: new(int)}
 	if !p.tryAlloc(total) || p.tryAlloc(1) {
 		t.Error("pool over- or under-allocates")
 	}
 	p.release(total)
-	if p.used != 0 || p.occupancy() != 0 {
+	if p.used != 0 || *p.fleet != 0 {
 		t.Errorf("release did not restore pool: %+v", p)
+	}
+	for _, c := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := (KVConfig{CapacityBytes: c}).Validate(); err == nil || !strings.Contains(err.Error(), "KV capacity") {
+			t.Errorf("capacity %v: Validate = %v, want a KV capacity error", c, err)
+		}
 	}
 }
 
@@ -200,7 +208,7 @@ func TestPreemptionUnderKVPressure(t *testing.T) {
 		Prompt:     Fixed(512),
 		Output:     Fixed(512),
 	}
-	perToken := cfg.Latency.Model.KVCacheBytesPerToken(cfg.KV.HBM.BytesPerElem)
+	perToken := cfg.Latency.consts().kvPerToken
 	// Room for ~1.5 worst-case contexts: admission succeeds, growth evicts.
 	cfg.KV.HBM.CapacityBytes = perToken * 1024 * 1.5
 	rep := mustRun(t, cfg, w)
@@ -270,7 +278,7 @@ func TestTraceReplayAnalytic(t *testing.T) {
 	const prompt, output = 600, 4
 	w := Workload{Arrival: ArrivalTrace, Trace: []Request{{Arrival: 0.5, PromptTokens: prompt, OutputTokens: output}}}
 	rep := mustRun(t, cfg, w)
-	wantTTFT := cfg.Latency.PrefillTime(prompt)
+	wantTTFT := cfg.Latency.prefillTimeComm(cfg.Latency.consts(), prompt, 1)
 	if math.Abs(rep.TTFT.Mean-wantTTFT) > 1e-9 {
 		t.Errorf("TTFT %.6f, want prefill time %.6f", rep.TTFT.Mean, wantTTFT)
 	}

@@ -19,13 +19,13 @@ import (
 // telescope exactly to its end-to-end latency (the reconciliation
 // invariant trace_test.go pins).
 
-// AttachTracer installs a request-lifecycle tracer on the engine (nil
-// detaches). The tracer is reset (BeginRun) at the start of every Run,
-// so one tracer follows one engine across pooled runs. Attach points
-// live on the Engine, not the Config: configs are copied per sweep
-// point, and a shared tracer pointer inside them would alias state
-// across parallel workers.
-func (e *Engine) AttachTracer(t obs.Tracer) { e.tracer = t }
+// AttachTracer installs a request-lifecycle trace recorder on the
+// engine (nil detaches). The recorder is reset (BeginRun) at the start
+// of every Run, so one recorder follows one engine across pooled runs.
+// Attach points live on the Engine, not the Config: configs are copied
+// per sweep point, and a shared recorder pointer inside them would
+// alias state across parallel workers.
+func (e *Engine) AttachTracer(t *obs.TraceRecorder) { e.tracer = t }
 
 // AttachMetrics installs a time-series metrics registry (nil
 // detaches). Each Run resets the registry, registers the engine's

@@ -100,8 +100,10 @@ func TestTraceDoesNotPerturb(t *testing.T) {
 	if traced := reportJSON(t, rep); !bytes.Equal(plain, traced) {
 		t.Error("attaching observability changed the report")
 	}
-	// Detaching restores the plain path on the same engine.
-	eng.AttachTracer(nil)
+	// Detaching restores the plain path on the same engine, also when
+	// the detach passes a nil *TraceRecorder variable.
+	var noRec *obs.TraceRecorder
+	eng.AttachTracer(noRec)
 	eng.AttachMetrics(nil)
 	rep, err = eng.Run(cfg, w)
 	if err != nil {
@@ -118,7 +120,7 @@ func TestTraceDoesNotPerturb(t *testing.T) {
 func hedgedTraceConfig() (Config, Workload) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
-	cfg.Resilience.Retry = RetryPolicy{MaxRetries: 1, Backoff: 0.2}
+	cfg.Resilience.Retry = RetryPolicy{MaxRetries: 1}
 	cfg.Resilience.Faults = &FaultPlan{MTBF: 4, MTTR: 2}
 	cfg.Resilience.Hazards = &HazardPlan{Planes: []PlaneHazardEvent{
 		{At: 2, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},

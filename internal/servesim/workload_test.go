@@ -194,6 +194,12 @@ func TestWorkloadValidate(t *testing.T) {
 		{Arrival: ArrivalBursty, RatePerSec: 1, Requests: 1, BurstOnMean: 1, Prompt: Fixed(1), Output: Fixed(1)},
 		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, Prompt: Fixed(1), Output: Fixed(1)},
 		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, DiurnalPeriod: 10, DiurnalAmplitude: 1.5, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalPoisson, RatePerSec: math.NaN(), Requests: 1, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalPoisson, RatePerSec: math.Inf(1), Requests: 1, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalBursty, RatePerSec: 1, Requests: 1, BurstOnMean: math.NaN(), BurstOffMean: 2, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalBursty, RatePerSec: 1, Requests: 1, BurstOnMean: 1, BurstOffMean: math.Inf(1), Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, DiurnalPeriod: math.NaN(), DiurnalAmplitude: 0.5, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, DiurnalPeriod: 10, DiurnalAmplitude: math.NaN(), Prompt: Fixed(1), Output: Fixed(1)},
 	}
 	for i, w := range cases {
 		if err := w.Validate(); err == nil {
@@ -283,6 +289,8 @@ func TestMultiTurnValidate(t *testing.T) {
 	cases := []func(*Workload){
 		func(w *Workload) { w.Turns = -1 },
 		func(w *Workload) { w.ThinkTime = -2 },
+		func(w *Workload) { w.ThinkTime = math.NaN() },
+		func(w *Workload) { w.ThinkTime = math.Inf(1) },
 		func(w *Workload) {
 			w.Arrival, w.Trace = ArrivalTrace, []Request{{PromptTokens: 1, OutputTokens: 1}}
 			w.Turns = 2
